@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import ledger
+from .blocks import HEADER_SIZE
 from .ledger import TxKind
 
 MIB = 2 ** 20
@@ -43,7 +44,7 @@ class InvalidBounds(AnalyticsError):
 class ChainParams:
     period: float = 300.0            # block period T, seconds
     gas_limit: int = 805020          # block gas limit G
-    header_size: int = 1909          # bytes
+    header_size: int = HEADER_SIZE   # bytes
     bandwidth: float = 1_000_000.0   # slowest-link bytes/second
     prepare_size: int = 128
     commit_size: int = 128
@@ -104,7 +105,7 @@ def consensus_latency(blk_size: int, params: ChainParams) -> float:
 
 
 def max_block_size_closed_form(gas_limit: int, catalog: Sequence[TxType],
-                               header_size: int = 1909) -> int:
+                               header_size: int = HEADER_SIZE) -> int:
     """Header plus as many copies of the dominant type as the gas allows."""
     dominant = dominance_check(catalog)
     if dominant is None:
@@ -168,7 +169,7 @@ def ukp_max_value_dense(capacity: int, items: Sequence[TxType]) -> int:
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType],
-                       header_size: int = 1909,
+                       header_size: int = HEADER_SIZE,
                        capacity_cap: int = 100_000_000) -> int:
     """Maximum block size via the exact knapsack solver."""
     if gas_limit > capacity_cap:
@@ -200,7 +201,7 @@ def _dominance_cached(catalog: tuple) -> Optional[TxType]:
 
 
 def gas_limit_range_for_max_size(max_size: int, catalog: Sequence[TxType],
-                                 header_size: int = 1909) -> tuple:
+                                 header_size: int = HEADER_SIZE) -> tuple:
     """Gas-limit interval realizing a target maximum block size.
 
     The target must lie on the lattice header + k * size(dominant).
@@ -219,7 +220,8 @@ def gas_limit_range_for_max_size(max_size: int, catalog: Sequence[TxType],
 # -- chain growth ------------------------------------------------------
 
 
-def header_overhead(t: float, period: float, header_size: int = 1909) -> Fraction:
+def header_overhead(t: float, period: float,
+                    header_size: int = HEADER_SIZE) -> Fraction:
     """Cumulative header bytes after running for t seconds (exact)."""
     if t < 0:
         raise ValueError("t cannot be negative")
@@ -227,7 +229,8 @@ def header_overhead(t: float, period: float, header_size: int = 1909) -> Fractio
 
 
 def growth_rate(t1: float, t2: float, period: float,
-                tx_multiset: Iterable[tuple], header_size: int = 1909) -> Fraction:
+                tx_multiset: Iterable[tuple],
+                header_size: int = HEADER_SIZE) -> Fraction:
     """Chain bytes added over (t1, t2]: header term plus included tx sizes.
 
     tx_multiset is an iterable of (TxType, count) pairs for the
@@ -313,7 +316,7 @@ class GrowthReportRow:
 
 
 def annual_growth_row(n: int, period: float = 300.0,
-                      header_size: int = 1909) -> GrowthReportRow:
+                      header_size: int = HEADER_SIZE) -> GrowthReportRow:
     """Growth over one year for n creations/removals and 10n transfers."""
     multiset = [(create_type(ledger.MAX_DESCRIPTION_LEN), n),
                 (REMOVE, n), (TRANSFER, 10 * n)]
@@ -326,13 +329,13 @@ def annual_growth_row(n: int, period: float = 300.0,
 
 def annual_growth_table(period: float = 300.0,
                         workloads: Sequence[int] = (10_000, 100_000, 1_000_000),
-                        header_size: int = 1909) -> list:
+                        header_size: int = HEADER_SIZE) -> list:
     return [annual_growth_row(n, period, header_size) for n in workloads]
 
 
 def annual_header_overhead_sweep(
         periods_minutes: Sequence[int] = (1, 2, 5, 10, 15, 30, 60),
-        header_size: int = 1909) -> list:
+        header_size: int = HEADER_SIZE) -> list:
     """(period minutes, header bytes per year) for a sweep of block periods."""
     return [(m, header_overhead(YEAR_SECONDS, m * 60, header_size))
             for m in periods_minutes]

@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = led_sub.add_parser("discard", help="remove entry and blob (creator only)")
     d.add_argument("id")
     d.add_argument("--as", dest="identity", required=True)
-    d.set_defaults(func=cmd_ledger_discard)
+    d.set_defaults(func=cmd_ledger_remove)
 
     return parser
 
@@ -188,8 +188,7 @@ def _config_from_args(args) -> ExperimentConfig:
     return build_config(file_values, overrides)
 
 
-def _workload_from_args(args, config: ExperimentConfig) -> list:
-    spec = args.workload
+def _workload_from_spec(spec: str, config: ExperimentConfig) -> list:
     try:
         if spec.startswith("rate:"):
             return workload.constant_rate_workload(
@@ -220,14 +219,9 @@ def _write_metrics(rows, path) -> None:
             out.close()
 
 
-def _run_one(config: ExperimentConfig, args):
-    txs = _workload_from_args(args, config)
-    return run_experiment(config, txs)
-
-
 def cmd_sim_run(args) -> int:
     config = _config_from_args(args)
-    result = _run_one(config, args)
+    result = run_experiment(config, _workload_from_spec(args.workload, config))
     _write_metrics(result.rows, args.out)
     print(f"periods elapsed: {result.periods_elapsed}", file=sys.stderr)
     for idx in sorted(result.chain_digests):
@@ -273,9 +267,7 @@ def cmd_sim_sweep(args) -> int:
 
 def _sweep_task(item):
     cfg, spec = item
-    ns = argparse.Namespace(workload=spec)
-    txs = _workload_from_args(ns, cfg)
-    return run_experiment(cfg, txs)
+    return run_experiment(cfg, _workload_from_spec(spec, cfg))
 
 
 # -- analyze commands --------------------------------------------------
@@ -462,10 +454,6 @@ def cmd_ledger_acquire(args) -> int:
     else:
         sys.stdout.buffer.write(blob)
     return 0
-
-
-def cmd_ledger_discard(args) -> int:
-    return cmd_ledger_remove(args)
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,7 @@ faulty proposer comes from a timeout-driven round change.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .blocks import Block, block_digest, block_gas
@@ -74,7 +74,6 @@ class Validator:
     def __init__(self, index: int, n: int, gas_limit: int,
                  round_timeout: float,
                  broadcast: Callable[[ConsensusMessage], None],
-                 send_to: Callable[[int, ConsensusMessage], None],
                  set_timer: Callable[[float, Callable[[], None]], None],
                  build_block: Callable[[int, int, float], Block],
                  on_commit: Callable[[Block], None],
@@ -84,7 +83,6 @@ class Validator:
         self.gas_limit = gas_limit
         self.round_timeout = round_timeout
         self._broadcast = broadcast
-        self._send_to = send_to
         self._set_timer = set_timer
         self._build_block = build_block
         self._on_commit = on_commit

@@ -1,14 +1,18 @@
 """Deterministic discrete-event engine: virtual clock, links, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
-run produces the same event trace, byte for byte.
+run produces the same event trace, byte for byte. Client traffic enters
+the network as sender ``CLIENT`` and takes the same path as validator
+traffic.
 """
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
+
+CLIENT = -1  # sender id of traffic from outside the validator set
 
 
 class SchedulingInPast(Exception):
@@ -38,28 +42,24 @@ class LinkModel:
         return self.base_delay + size / self.bandwidth
 
 
-@dataclass(order=True)
-class _Event:
-    fire_time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    tag: str = field(compare=False, default="")
-
-
 class Scheduler:
-    """Event queue ordered by (fire time, insertion sequence)."""
+    """Event queue ordered by (fire time, insertion sequence).
+
+    Heap entries are ``(fire_time, seq, action, tag)`` tuples; ``seq`` is
+    unique, so the comparison never reaches ``action``.
+    """
 
     def __init__(self, trace: bool = False):
         self.now = 0.0
         self._seq = 0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple] = []
         self.trace: Optional[list] = [] if trace else None
 
     def schedule_at(self, fire_time: float, action: Callable[[], None],
                     tag: str = "") -> None:
         if fire_time < self.now:
             raise SchedulingInPast(f"{fire_time} < now {self.now}")
-        heapq.heappush(self._heap, _Event(fire_time, self._seq, action, tag))
+        heapq.heappush(self._heap, (fire_time, self._seq, action, tag))
         self._seq += 1
 
     def schedule(self, delay: float, action: Callable[[], None],
@@ -70,21 +70,13 @@ class Scheduler:
         """Fire every event due at or before t, then advance the clock to t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
-        while self._heap and self._heap[0].fire_time <= t:
-            event = heapq.heappop(self._heap)
-            self.now = event.fire_time
+        while self._heap and self._heap[0][0] <= t:
+            fire_time, _, action, tag = heapq.heappop(self._heap)
+            self.now = fire_time
             if self.trace is not None:
-                self.trace.append((self.now, event.tag))
-            event.action()
+                self.trace.append((fire_time, tag))
+            action()
         self.now = t
-
-    def run_until_idle(self, max_time: float = float("inf")) -> None:
-        while self._heap and self._heap[0].fire_time <= max_time:
-            event = heapq.heappop(self._heap)
-            self.now = event.fire_time
-            if self.trace is not None:
-                self.trace.append((self.now, event.tag))
-            event.action()
 
     def pending(self) -> int:
         return len(self._heap)
@@ -94,8 +86,9 @@ class Network:
     """Broadcast fabric over point-to-point links.
 
     Per-pair links override the default; the default models the slowest
-    channel. Self-delivery is immediate. Muted nodes (silent fault model)
-    produce zero deliveries.
+    channel. Self-delivery is immediate. Senders are node ids, or
+    ``CLIENT`` for traffic from outside the validator set; per-pair links
+    keyed on ``CLIENT`` apply to it too.
     """
 
     def __init__(self, scheduler: Scheduler, default_link: LinkModel,
@@ -107,13 +100,9 @@ class Network:
         self.jitter = jitter
         self.rng = rng or random.Random(0)
         self._nodes: dict[int, Callable] = {}
-        self._muted: set[int] = set()
 
     def add_node(self, node_id: int, deliver: Callable) -> None:
         self._nodes[node_id] = deliver
-
-    def mute(self, node_id: int) -> None:
-        self._muted.add(node_id)
 
     def node_ids(self):
         return list(self._nodes)
@@ -124,8 +113,6 @@ class Network:
     def send(self, sender: int, recipient: int, message, wire_size: int) -> None:
         if recipient not in self._nodes:
             raise UnknownNode(str(recipient))
-        if sender in self._muted:
-            return
         if sender == recipient:
             delay = 0.0
         else:
@@ -144,10 +131,4 @@ class Network:
 
     def inject(self, message, wire_size: int) -> None:
         """Deliver a message from outside the validator set (e.g. a client)."""
-        for recipient in self._nodes:
-            delay = self.default_link.transmission_delay(wire_size)
-            if self.jitter > 0:
-                delay += self.rng.uniform(0.0, self.jitter)
-            deliver = self._nodes[recipient]
-            self.scheduler.schedule(delay, lambda d=deliver: d(message),
-                                    tag=f"deliver:client->{recipient}")
+        self.broadcast(CLIENT, message, wire_size)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import blocks as blk
@@ -38,7 +38,7 @@ class ExperimentConfig:
     prepare_size: int = 128
     commit_size: int = 128
     preprepare_overhead: int = 256
-    header_size: int = 1909
+    header_size: int = blk.HEADER_SIZE
     genesis_size: int = 4096
     round_timeout: Optional[float] = None  # default: 2 * period
     seed: int = 0
@@ -121,7 +121,7 @@ class _Node:
         self.validator = Validator(
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
             round_timeout=cfg.effective_round_timeout,
-            broadcast=self._broadcast, send_to=self._send_to,
+            broadcast=self._broadcast,
             set_timer=self._set_timer, build_block=self._build,
             on_commit=self._committed, genesis=sim.genesis)
 
@@ -131,11 +131,6 @@ class _Node:
         if msg.type is MsgType.PRE_PREPARE:
             self.sim.note_proposal(msg)
         self.sim.network.broadcast(self.index, msg, self.sim.wire_size(msg))
-
-    def _send_to(self, recipient: int, msg: ConsensusMessage) -> None:
-        if msg.type is MsgType.PRE_PREPARE:
-            self.sim.note_proposal(msg)
-        self.sim.network.send(self.index, recipient, msg, self.sim.wire_size(msg))
 
     def _set_timer(self, delay: float, callback) -> None:
         self.sim.scheduler.schedule(delay, callback, tag=f"timer:{self.index}")
@@ -172,7 +167,12 @@ class _Node:
 
 
 class _SilentNode(_Node):
-    """Receives everything, sends nothing (network-muted), never acts."""
+    """Receives everything, never acts: the silent fault model.
+
+    It admits client transactions to its mempool but ignores consensus
+    messages, and the simulation never starts a height on it, so it
+    never proposes, votes or arms a timer.
+    """
 
     def deliver(self, message) -> None:
         if not isinstance(message, ConsensusMessage):
@@ -225,7 +225,6 @@ class Simulation:
             kind = behaviors.get(i)
             if kind == SILENT:
                 node = _SilentNode(self, i)
-                self.network.mute(i)
             elif kind == EQUIVOCATE:
                 node = _EquivocatingNode(self, i)
             else:
@@ -235,15 +234,14 @@ class Simulation:
         self.honest = [i for i in range(config.validators) if i not in behaviors]
 
         # bookkeeping
-        self._proposal_times: dict[tuple[int, int], float] = {}
+        # height -> (highest proposed round, first broadcast of that round)
+        self._proposal_times: dict[int, tuple[int, float]] = {}
         self._commit_counts: dict[int, int] = {}
         self._tx_records: dict[int, tuple] = {}
         self._receipts: dict[int, object] = {}
         self._commit_latencies: list = []
         self._block_by_height: dict[int, Block] = {}
-        self._commit_round: dict[int, int] = {}
         self._stuck: list = []
-        self._period_of_height: dict[int, int] = {}
         self._periods_elapsed = 0
 
     # hooks from nodes --------------------------------------------------
@@ -257,8 +255,9 @@ class Simulation:
         return cfg.commit_size
 
     def note_proposal(self, msg: ConsensusMessage) -> None:
-        self._proposal_times.setdefault((msg.height, msg.round),
-                                        self.scheduler.now)
+        seen = self._proposal_times.get(msg.height)
+        if seen is None or msg.round > seen[0]:
+            self._proposal_times[msg.height] = (msg.round, self.scheduler.now)
 
     def note_commit(self, index: int, block: Block, now: float) -> None:
         self._commit_counts[index] = self._commit_counts.get(index, 0) + 1
@@ -268,12 +267,9 @@ class Simulation:
         self._block_by_height[height] = block
         # measure from the most recent proposal for this height (the
         # committing round's broadcast time)
-        t0 = None
-        for r in range(64):
-            if (height, r) in self._proposal_times:
-                t0 = self._proposal_times[(height, r)]
-        if t0 is not None:
-            self._commit_latencies.append((height, now - t0))
+        proposed = self._proposal_times.get(height)
+        if proposed is not None:
+            self._commit_latencies.append((height, now - proposed[1]))
         for tx in block.transactions:
             self._tx_records.setdefault(tx.uid, (tx.issue_time, block.timestamp))
 
@@ -314,7 +310,6 @@ class Simulation:
             for node in self.nodes.values():
                 v = node.validator
                 if not v.active and not isinstance(node, _SilentNode):
-                    self._period_of_height[v.height] = period
                     v.start_height(next_start)
             period += 1
             boundary += cfg.period
@@ -327,12 +322,6 @@ class Simulation:
             return True
         ref = self.nodes[self._reference_validator()]
         return len(ref.mempool) == 0
-
-    def kickoff(self) -> None:
-        """Start the first height at time 0 (used by step-wise tests)."""
-        for node in self.nodes.values():
-            if not isinstance(node, _SilentNode):
-                node.validator.start_height(0.0)
 
     # metrics -----------------------------------------------------------
 

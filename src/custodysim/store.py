@@ -11,9 +11,9 @@ import random
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
-from .ledger import (Address, EvidenceEntry, EvidenceId, Receipt, RevertReason,
-                     EvidenceNotFound, NotCreator, NotOwner, LedgerState,
-                     Transaction, create_tx, remove_tx, transfer_tx)
+from .ledger import (_REASON_BY_ERROR, Address, EvidenceEntry, EvidenceId,
+                     EvidenceNotFound, LedgerError, LedgerState, NotOwner,
+                     Receipt, Transaction, create_tx, remove_tx, transfer_tx)
 
 
 class StoreError(Exception):
@@ -142,11 +142,12 @@ class LocalLedgerClient:
         return self._time
 
 
-_ERROR_BY_REASON = {
-    RevertReason.NOT_OWNER: NotOwner,
-    RevertReason.NOT_CREATOR: NotCreator,
-    RevertReason.EVIDENCE_NOT_FOUND: EvidenceNotFound,
-}
+_ERROR_BY_REASON = {reason: error for error, reason in _REASON_BY_ERROR.items()}
+
+
+def _revert_error(receipt: Receipt) -> LedgerError:
+    """The typed ledger error for a reverted transaction's receipt."""
+    return _ERROR_BY_REASON[receipt.reason](receipt.reason.value)
 
 
 class Frontend:
@@ -183,8 +184,7 @@ class Frontend:
         receipt = self.client.submit(tx)
         if not receipt.succeeded:
             self.store.delete(evidence_id)
-            raise _ERROR_BY_REASON.get(receipt.reason, StoreError)(
-                receipt.reason.value)
+            raise _revert_error(receipt)
         return evidence_id
 
     def acquire_evidence(self, requester: Address,
@@ -204,8 +204,7 @@ class Frontend:
                          new_owner, self.client.now())
         receipt = self.client.submit(tx)
         if not receipt.succeeded:
-            raise _ERROR_BY_REASON.get(receipt.reason, StoreError)(
-                receipt.reason.value)
+            raise _revert_error(receipt)
 
     def discard_evidence(self, requester: Address,
                          evidence_id: EvidenceId) -> None:
@@ -213,8 +212,7 @@ class Frontend:
                        self.client.now())
         receipt = self.client.submit(tx)
         if not receipt.succeeded:
-            raise _ERROR_BY_REASON.get(receipt.reason, StoreError)(
-                receipt.reason.value)
+            raise _revert_error(receipt)
         # only after the removal committed may the blob go
         if evidence_id in self.store:
             self.store.delete(evidence_id)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from . import analytics
 from .ledger import (Address, EvidenceId, TRANSFER_GAS, Transaction,
@@ -51,20 +50,25 @@ def _random_id(rng: random.Random) -> EvidenceId:
     return EvidenceId(rng.getrandbits(256).to_bytes(32, "big"))
 
 
+def _transfer_workload(counts: list, seed: int, period: float,
+                       margin: float) -> list:
+    """Transfers, counts[p] of them at uniform times within period p."""
+    rng = random.Random(seed)
+    txs = []
+    for p, count in enumerate(counts):
+        for t in _uniform_times(rng, p, period, count, margin):
+            txs.append(transfer_tx(len(txs) + 1, _random_address(rng),
+                                   _random_id(rng), _random_address(rng), t))
+    return txs
+
+
 def constant_rate_workload(spec: RateSpec, seed: int, period: float,
                            margin: float = 0.01) -> list:
     """Transfer transactions at a fixed per-period count."""
     if spec.tx_per_period < 0 or spec.periods <= 0:
         raise InvalidSpec("counts must be non-negative, duration positive")
-    rng = random.Random(seed)
-    txs = []
-    uid = 1
-    for p in range(spec.periods):
-        for t in _uniform_times(rng, p, period, spec.tx_per_period, margin):
-            txs.append(transfer_tx(uid, _random_address(rng), _random_id(rng),
-                                   _random_address(rng), t))
-            uid += 1
-    return txs
+    return _transfer_workload([spec.tx_per_period] * spec.periods, seed,
+                              period, margin)
 
 
 def ramp_workload(spec: RampSpec, seed: int, period: float,
@@ -78,19 +82,13 @@ def ramp_workload(spec: RampSpec, seed: int, period: float,
     if spec.periods <= 0 or spec.start_gas_per_period < 0 \
             or spec.end_gas_per_period < spec.start_gas_per_period:
         raise InvalidSpec("ramp must be non-decreasing over a positive run")
-    rng = random.Random(seed)
-    txs = []
-    uid = 1
     span = spec.end_gas_per_period - spec.start_gas_per_period
+    counts = []
     for p in range(spec.periods):
         frac = p / (spec.periods - 1) if spec.periods > 1 else 1.0
         target = spec.start_gas_per_period + frac * span
-        count = int(target // TRANSFER_GAS)
-        for t in _uniform_times(rng, p, period, count, margin):
-            txs.append(transfer_tx(uid, _random_address(rng), _random_id(rng),
-                                   _random_address(rng), t))
-            uid += 1
-    return txs
+        counts.append(int(target // TRANSFER_GAS))
+    return _transfer_workload(counts, seed, period, margin)
 
 
 def annual_multiset(n: int) -> list:

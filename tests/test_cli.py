@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -61,6 +62,48 @@ class TestSimRun:
         code, _, _ = _run(capsys, "sim", "run", "--byzantine",
                           "1:silent,2:silent", "--periods", "3")
         assert code == 2
+
+
+# scenario -> (sim run flags, SHA-256 of the --out CSV, SHA-256 of stderr)
+GOLDEN_RUNS = {
+    "no-fault": (["--seed", "11", "--periods", "30", "--workload", "rate:3"],
+                 "85599ea81a569b91c6411d3026293f74e4411c7704fd939318b3fc514a7cd3f4",
+                 "f597a7e25fb02ad213c3f4553e7a6b611961fe50b15428b3a6436eeb46140c3c"),
+    "silent": (["--seed", "11", "--periods", "30", "--byzantine", "3:silent"],
+               "847c3d29ab2748e2ac7d1c50642ca96ecb726d993a214a4fffbe900639a9a97d",
+               "a49f4acb1e767bcde3f26683d436b8b5164a60dfe447d2ba15fc020df7dec675"),
+    "equivocate": (["--seed", "11", "--periods", "30",
+                    "--byzantine", "1:equivocate"],
+                   "64d44181d62323662a20bace475564bb0d3c77f6db13812b1e43335bcab9a622",
+                   "c390d1162d5f05c8b7aaddfbb60f949bb74fc0598004c8986c3964a049144c3a"),
+    "delay-jitter": (["--config", "{config}", "--workload", "rate:4"],
+                     "ac413a8ecc7f1d9ffbf2f42e6b26a0f4971b9b63ef6404624c25afa016f3ead6",
+                     "3e15357774596b505a4d4b252874883651c331459ce45d122ffd0400d07c8977"),
+}
+GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
+
+
+class TestGoldenOutput:
+    """`sim run` output pinned byte for byte for four seeded scenarios.
+
+    The delay-jitter scenario sets base_delay and jitter through a config
+    file, so every client transaction draws link jitter on its way to the
+    mempools. A change to the engine that keeps its results must keep
+    these hashes. ROADMAP item 4's block-digest fix changes the head
+    digests, and so these hashes, on purpose; record them again then.
+    """
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_RUNS))
+    def test_sim_run_output_unchanged(self, scenario, tmp_path, capsys):
+        flags, csv_sha, err_sha = GOLDEN_RUNS[scenario]
+        config = tmp_path / "net.cfg"
+        config.write_text(GOLDEN_CONFIG)
+        out = tmp_path / "m.csv"
+        code, _, err = _run(capsys, "sim", "run", "--out", str(out),
+                            *(f.format(config=config) for f in flags))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
 
 class TestSimSweep:

@@ -41,7 +41,6 @@ class StubEnv:
 
     def __init__(self):
         self.broadcasts = []
-        self.sends = []
         self.timers = []
         self.commits = []
 
@@ -50,7 +49,6 @@ class StubEnv:
         v = Validator(
             index=index, n=n, gas_limit=gas_limit, round_timeout=timeout,
             broadcast=self.broadcasts.append,
-            send_to=lambda r, m: self.sends.append((r, m)),
             set_timer=lambda d, cb: self.timers.append((d, cb)),
             build_block=lambda h, r, ts: Block(h, v.head_digest, index, ts),
             on_commit=self.commits.append,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from custodysim.netsim import (LinkModel, Network, Scheduler, SchedulingInPast,
-                               UnknownNode)
+from custodysim.netsim import (CLIENT, LinkModel, Network, Scheduler,
+                               SchedulingInPast, UnknownNode)
 
 
 class TestScheduler:
@@ -102,13 +102,6 @@ class TestNetwork:
         assert inboxes[0][0][0] == 0.0           # self-delivery has no delay
         assert inboxes[1][0][0] == pytest.approx(0.001)
 
-    def test_muted_sender_delivers_nothing(self):
-        sched, net, inboxes = _net()
-        net.mute(2)
-        net.broadcast(2, "x", wire_size=100)
-        sched.run_until(1.0)
-        assert all(not v for v in inboxes.values())
-
     def test_unknown_recipient(self):
         _, net, _ = _net()
         with pytest.raises(UnknownNode):
@@ -126,3 +119,27 @@ class TestNetwork:
         sched.run_until(10.0)
         assert times[1] == pytest.approx(1.0)    # slow link
         assert times[2] == pytest.approx(0.001)  # default link
+
+    def test_inject_is_a_broadcast_from_client(self):
+        def arrivals(send):
+            sched, net, inboxes = _net(jitter=0.01, rng=random.Random(9))
+            send(net)
+            sched.run_until(1.0)
+            return inboxes, net.rng.random()  # same delays, same draws
+
+        injected = arrivals(lambda net: net.inject("tx", 500))
+        assert injected == arrivals(
+            lambda net: net.broadcast(CLIENT, "tx", 500))
+        assert len({t for inbox in injected[0].values() for t, _ in inbox}) == 4
+
+    def test_inject_honours_client_links(self):
+        sched = Scheduler()
+        slow = LinkModel(1_000)
+        net = Network(sched, LinkModel(1_000_000), links={(CLIENT, 1): slow})
+        times = {}
+        for i in range(3):
+            net.add_node(i, lambda m, i=i: times.setdefault(i, sched.now))
+        net.inject("tx", wire_size=1000)
+        sched.run_until(10.0)
+        assert times[1] == pytest.approx(1.0)    # slow client link
+        assert times[0] == times[2] == pytest.approx(0.001)

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from custodysim.blocks import Block, block_digest
+from custodysim.consensus import ConsensusMessage, MsgType
 from custodysim.ledger import Address, EvidenceId, create_tx, transfer_tx
 from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
-                                   ExperimentConfig, run_experiment)
+                                   ExperimentConfig, Simulation,
+                                   run_experiment)
 from custodysim.workload import RampSpec, RateSpec, constant_rate_workload, \
     ramp_workload
 
@@ -163,3 +166,23 @@ class TestByzantine:
         wl = constant_rate_workload(RateSpec(2, 12), seed=6, period=T)
         result = run_experiment(cfg, wl)
         assert set(result.receipts) == set(result.tx_records)
+
+
+class TestCommitLatency:
+    def test_measured_from_first_proposal_of_highest_round(self):
+        sim = Simulation(_cfg(), [])
+        block = Block(0, sim.genesis, proposer=2, timestamp=0.0)
+
+        def propose_at(t, round_):
+            sim.scheduler.run_until(t)
+            sim.note_proposal(ConsensusMessage(
+                MsgType.PRE_PREPARE, 0, round_, block_digest(block),
+                round_ % 4, block))
+
+        propose_at(1.0, 0)
+        propose_at(5.0, 70)
+        propose_at(6.0, 70)   # a re-broadcast keeps the first time
+        propose_at(6.5, 3)    # a lower round is not the committing one
+        sim.scheduler.run_until(7.5)
+        sim.note_commit(sim.honest[0], block, sim.scheduler.now)
+        assert sim._commit_latencies == [(0, 2.5)]

@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from custodysim.ledger import (Address, EvidenceNotFound, NotCreator,
-                               NotOwner)
+from custodysim.ledger import (Address, EvidenceAlreadyExists, EvidenceId,
+                               EvidenceNotFound, NotCreator, NotOwner)
 from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
                               LocalLedgerClient, generate_id)
@@ -96,6 +96,18 @@ class TestSubmitEvidence:
         frontend.submit_evidence(ALICE, b"first", "a")
         with pytest.raises(IdCollision):
             frontend.submit_evidence(ALICE, b"second", "b")
+
+    def test_id_taken_on_ledger_only_raises_typed_error(self, store):
+        # the id is already registered on the ledger, but no blob for it
+        # is in this store: the create reverts and its blob is removed
+        taken = EvidenceId(b"\x07" * 32)
+        frontend = Frontend(store, LocalLedgerClient(), seed=1,
+                            hash_func=lambda data: taken.value)
+        frontend.client.state.create_evidence(BOB, taken, "elsewhere", 0.0)
+        with pytest.raises(EvidenceAlreadyExists):
+            frontend.submit_evidence(ALICE, b"blob", "a")
+        assert taken not in store
+        assert not list(store.root.glob("*.bin"))
 
     def test_retry_skips_taken_nonce(self, store):
         # hash ignores the blob, so ids depend on the nonce alone; a
