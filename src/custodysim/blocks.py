@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .ledger import Transaction
 
@@ -54,44 +54,38 @@ def genesis_digest(chain_tag: bytes = b"genesis") -> bytes:
 class Mempool:
     """FIFO queue of pending transactions.
 
-    Transactions leave the pool only when seen in a committed block;
-    building a block does not consume them.
+    An insertion-ordered ``dict`` from uid to transaction: submit and
+    removal cost O(1) per transaction, and iteration yields the queue in
+    arrival order without copying it. Transactions leave the pool only
+    when seen in a committed block; building a block does not consume
+    them.
     """
 
     def __init__(self):
-        self._pending: list[Transaction] = []
-        self._uids: set[int] = set()
+        self._pending: dict[int, Transaction] = {}
 
     def submit(self, tx: Transaction) -> None:
-        if tx.uid in self._uids:
-            return
-        self._pending.append(tx)
-        self._uids.add(tx.uid)
+        self._pending.setdefault(tx.uid, tx)
 
     def remove_committed(self, uids: Iterable[int]) -> None:
-        drop = set(uids)
-        if not drop & self._uids:
-            return
-        self._pending = [tx for tx in self._pending if tx.uid not in drop]
-        self._uids -= drop
-
-    def drop(self, uid: int) -> None:
-        self.remove_committed([uid])
+        for uid in uids:
+            self._pending.pop(uid, None)
 
     @property
     def pending(self) -> tuple:
-        return tuple(self._pending)
+        return tuple(self._pending.values())
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return iter(self._pending.values())
 
     def __len__(self):
         return len(self._pending)
 
-    def __contains__(self, uid: int):
-        return uid in self._uids
-
     def stuck_head(self, gas_limit: int) -> Optional[Transaction]:
         """Head transaction that can never fit in any block, if there is one."""
-        if self._pending and self._pending[0].gas > gas_limit:
-            return self._pending[0]
+        head = next(iter(self._pending.values()), None)
+        if head is not None and head.gas > gas_limit:
+            return head
         return None
 
 
@@ -106,7 +100,7 @@ def build_block(mempool: Mempool, gas_limit: int, height: int,
     """
     chosen = []
     gas = 0
-    for tx in mempool.pending:
+    for tx in mempool:
         if gas + tx.gas > gas_limit:
             break
         chosen.append(tx)

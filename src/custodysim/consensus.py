@@ -1,9 +1,12 @@
 """Three-phase proof-of-authority consensus state machine.
 
 One proposer per (height, round); pre-prepare carries the full block,
-prepare and commit carry only its digest. A validator commits once it
-has seen 2f+1 commit votes, where f = floor((n-1)/3). Liveness under a
-faulty proposer comes from a timeout-driven round change.
+prepare and commit carry only its digest. A replica verifies that digest
+once, when it accepts the pre-prepare, and keeps it as ``locked_digest``;
+votes are then matched against it by digest, with no rehashing. A
+validator commits once it has seen 2f+1 commit votes, where
+f = floor((n-1)/3). Liveness under a faulty proposer comes from a
+timeout-driven round change.
 """
 from __future__ import annotations
 
@@ -95,6 +98,7 @@ class Validator:
         self.active = False
         self.period_start = 0.0
         self.locked_block: Optional[Block] = None
+        self.locked_digest: Optional[bytes] = None  # digest of locked_block
         self.locked = False  # True once this height reached Prepared
         self.prepare_votes: dict[bytes, set[int]] = {}
         self.commit_votes: dict[bytes, set[int]] = {}
@@ -117,6 +121,7 @@ class Validator:
         self.phase = Phase.AWAITING
         self.period_start = period_start
         self.locked_block = None
+        self.locked_digest = None
         self.locked = False
         self.prepare_votes = {}
         self.commit_votes = {}
@@ -168,7 +173,7 @@ class Validator:
         if msg.sender != select_proposer(self.height, msg.round, self.n):
             return False
         if self.locked and self.locked_block is not None \
-                and msg.digest != block_digest(self.locked_block):
+                and msg.digest != self.locked_digest:
             return False
         self._enter_round(msg.round)
         return True
@@ -180,6 +185,7 @@ class Validator:
         self.commit_votes = {}
         if not self.locked:
             self.locked_block = None
+            self.locked_digest = None
         self._arm_timer()
         self._replay_buffered()
 
@@ -196,9 +202,12 @@ class Validator:
         if block_gas(block) > self.gas_limit:
             return  # violates the block gas limit
         if self.locked and self.locked_block is not None \
-                and msg.digest != block_digest(self.locked_block):
+                and msg.digest != self.locked_digest:
             return  # locked on a different block
+        if msg.digest != block_digest(block):
+            return  # digest does not match the block it came with
         self.locked_block = block
+        self.locked_digest = msg.digest
         self.phase = Phase.PRE_PREPARED
         self._vote(MsgType.PREPARE, msg.digest)
         self._check_quorums()
@@ -214,7 +223,7 @@ class Validator:
     def _check_quorums(self) -> None:
         if self.locked_block is None:
             return
-        digest = block_digest(self.locked_block)
+        digest = self.locked_digest
         q = quorum_size(self.n)
         if self.phase is Phase.PRE_PREPARED \
                 and len(self.prepare_votes.get(digest, ())) >= q:
@@ -223,20 +232,22 @@ class Validator:
             self._vote(MsgType.COMMIT, digest)
         if self.phase is Phase.PREPARED \
                 and len(self.commit_votes.get(digest, ())) >= q:
-            self._commit(self.locked_block)
+            self._commit()
 
     def _vote(self, type_: MsgType, digest: bytes) -> None:
         self._broadcast(ConsensusMessage(type_, self.height, self.round,
                                          digest, self.index))
 
-    def _commit(self, block: Block) -> None:
+    def _commit(self) -> None:
+        block = self.locked_block
         self.phase = Phase.COMMITTED
         self.chain.append(block)
-        self.chain_digests.append(block_digest(block))
+        self.chain_digests.append(self.locked_digest)
         self.height += 1
         self.round = 0
         self.active = False
         self.locked_block = None
+        self.locked_digest = None
         self.locked = False
         self.prepare_votes = {}
         self.commit_votes = {}

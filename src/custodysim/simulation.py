@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -383,19 +384,19 @@ class Simulation:
 
     def _mempool_depth_series(self, periods: int) -> list:
         # reconstructed after the fact: txs issued minus txs included,
-        # evaluated at each period boundary
-        issued = sorted(self.workload, key=lambda tx: tx.issue_time)
-        included_at: dict[int, float] = {}
+        # evaluated at each period boundary. A tx counts at t while
+        # issue_time <= t < block_ts + T (roughly the commit boundary), so
+        # depth(t) = #(issue_time <= t) - #(max(issue_time, block_ts + T) <= t);
+        # the max covers a tx issued after block_ts + T, which a round
+        # change allows.
         T = self.config.period
-        for uid, (_, block_ts) in self._tx_records.items():
-            included_at[uid] = block_ts + T  # roughly the commit boundary
+        issued = [tx.issue_time for tx in self.workload]  # sorted in __init__
+        left = sorted(max(tx.issue_time, self._tx_records[tx.uid][1] + T)
+                      for tx in self.workload if tx.uid in self._tx_records)
         series = []
         for p in range(periods):
             t = (p + 1) * T
-            depth = sum(1 for tx in issued
-                        if tx.issue_time <= t
-                        and included_at.get(tx.uid, float("inf")) > t)
-            series.append(depth)
+            series.append(bisect_right(issued, t) - bisect_right(left, t))
         return series
 
 

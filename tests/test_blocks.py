@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from custodysim.blocks import (Block, Mempool, block_digest, block_gas,
                                block_size, build_block, genesis_digest)
@@ -33,6 +36,41 @@ class TestMempool:
             mempool.submit(_transfer(i))
         mempool.remove_committed([2])
         assert [t.uid for t in mempool.pending] == [1, 3]
+
+
+_UIDS = st.integers(1, 12)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), _UIDS, st.integers(0, 300_000)),
+    st.tuples(st.just("remove"), st.lists(_UIDS, max_size=5))),
+    max_size=40)
+
+
+@given(ops=_OPS, gas_limit=st.integers(0, 600_000))
+def test_mempool_matches_list_model(ops, gas_limit):
+    """Mempool against a plain FIFO list: submits (duplicates keep the
+    first copy) and removals of known, unknown and partly known uids."""
+    pool, model = Mempool(), []
+    for op in ops:
+        if op[0] == "submit":
+            tx = replace(_transfer(op[1]), gas=op[2])
+            pool.submit(tx)
+            if all(t.uid != tx.uid for t in model):
+                model.append(tx)
+        else:
+            pool.remove_committed(iter(op[1]))
+            model = [t for t in model if t.uid not in op[1]]
+        assert pool.pending == tuple(model)
+        assert len(pool) == len(model)
+        head = model[0] if model and model[0].gas > gas_limit else None
+        assert pool.stuck_head(gas_limit) is head
+        chosen, gas = [], 0
+        for t in model:
+            if gas + t.gas > gas_limit:
+                break
+            chosen.append(t)
+            gas += t.gas
+        block = build_block(pool, gas_limit, 0, genesis_digest(), 0, 0.0)
+        assert block.transactions == tuple(chosen)
 
 
 class TestBuildBlock:

@@ -128,6 +128,18 @@ class TestPrePrepare:
                                   block_digest(block), 0, block))
         assert v.phase is Phase.AWAITING
 
+    def test_digest_not_matching_block_dropped(self):
+        env = StubEnv()
+        v = env.make(1)
+        v.start_height(0.0)
+        block = Block(0, v.head_digest, 0, 0.0)
+        other = Block(0, v.head_digest, 0, 0.0, salt=1)
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 0,
+                                  block_digest(other), 0, block))
+        assert v.phase is Phase.AWAITING
+        assert v.locked_block is None
+        assert not any(m.type is MsgType.PREPARE for m in env.broadcasts)
+
 
 class TestVoting:
     def _pre_prepared(self):

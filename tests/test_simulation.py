@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from custodysim import consensus
 from custodysim.blocks import Block, block_digest
-from custodysim.consensus import ConsensusMessage, MsgType
+from custodysim.consensus import ConsensusMessage, MsgType, Validator
 from custodysim.ledger import Address, EvidenceId, create_tx, transfer_tx
 from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
                                    ExperimentConfig, Simulation,
@@ -128,6 +129,62 @@ class TestOverload:
         result = run_experiment(cfg, [big])
         assert result.stuck_transactions == [1]
         assert 1 not in result.tx_records
+
+
+def _depth_by_scan(sim, periods):
+    """The periods x txs count the sweep in _mempool_depth_series replaces."""
+    T = sim.config.period
+    included_at = {uid: block_ts + T
+                   for uid, (_, block_ts) in sim._tx_records.items()}
+    return [sum(1 for tx in sim.workload
+                if tx.issue_time <= (p + 1) * T
+                and included_at.get(tx.uid, math.inf) > (p + 1) * T)
+            for p in range(periods)]
+
+
+class TestMempoolDepth:
+    def _check(self, cfg, wl):
+        sim = Simulation(cfg, wl)
+        result = sim.run()
+        depths = [r.mempool_depth for r in result.rows]
+        assert depths == _depth_by_scan(sim, result.periods_elapsed)
+        return sim, depths
+
+    def test_backlog_matches_scan(self):
+        cfg = _cfg(periods=30)
+        wl = constant_rate_workload(RateSpec(12, 30), seed=2, period=T)
+        _, depths = self._check(cfg, wl)
+        assert max(depths) > 20
+
+    def test_round_change_matches_scan(self):
+        # a silent proposer with a short timeout: the next proposer builds
+        # after block_ts + T, so some txs are issued after that boundary
+        cfg = _cfg(periods=20, byzantine=((1, SILENT),),
+                   round_timeout=0.5 * T)
+        wl = constant_rate_workload(RateSpec(4, 20), seed=8, period=T)
+        sim, _ = self._check(cfg, wl)
+        assert any(issue > block_ts + T
+                   for issue, block_ts in sim._tx_records.values())
+
+
+class TestDigestCost:
+    def test_one_digest_per_replica_per_proposal(self, monkeypatch):
+        calls = {"digest": 0, "propose": 0}
+        real_digest, real_propose = consensus.block_digest, Validator.propose
+
+        def counting_digest(block):
+            calls["digest"] += 1
+            return real_digest(block)
+
+        def counting_propose(self, block):
+            calls["propose"] += 1
+            return real_propose(self, block)
+
+        monkeypatch.setattr(consensus, "block_digest", counting_digest)
+        monkeypatch.setattr(Validator, "propose", counting_propose)
+        result = _run(periods=6, tx_per_period=3, validators=7)
+        assert set(result.chain_lengths.values()) == {6}
+        assert calls["digest"] <= (7 + 1) * calls["propose"]
 
 
 class TestAdmissionPolicy:
