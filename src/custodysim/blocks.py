@@ -34,7 +34,14 @@ def block_gas(block: Block) -> int:
 
 
 def block_digest(block: Block) -> bytes:
-    """256-bit digest over the canonical serialization of the block."""
+    """256-bit digest over the canonical serialization of the block.
+
+    Each transaction contributes every field a replica's ledger reads:
+    uid, gas, size, evidence id, issuer, kind, new owner and description.
+    Variable or optional fields carry a length prefix or a presence
+    byte, so blocks that differ in any of these fields never serialize
+    to the same bytes. ``issue_time`` is left out: no ledger reads it.
+    """
     h = hashlib.sha256()
     h.update(struct.pack(">Q", block.height))
     h.update(block.parent_digest)
@@ -44,6 +51,15 @@ def block_digest(block: Block) -> bytes:
         h.update(struct.pack(">QQQ", tx.uid, tx.gas, tx.size))
         h.update(tx.evidence_id.value)
         h.update(tx.issuer.value)
+        kind = tx.kind.value.encode()
+        h.update(struct.pack(">B", len(kind)) + kind)
+        h.update(b"\x00" if tx.new_owner is None
+                 else b"\x01" + tx.new_owner.value)
+        if tx.description is None:
+            h.update(b"\x00")
+        else:
+            text = tx.description.encode("utf-8")
+            h.update(b"\x01" + struct.pack(">I", len(text)) + text)
     return h.digest()
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from custodysim.blocks import (Block, Mempool, block_digest, block_gas,
                                block_size, build_block, genesis_digest)
-from custodysim.ledger import Address, EvidenceId, transfer_tx, create_tx
+from custodysim.ledger import (Address, EvidenceId, TxKind, create_tx,
+                               transfer_tx)
 
 
 def _transfer(uid):
@@ -131,3 +132,17 @@ class TestDigest:
         b = Block(1, genesis_digest(), 0, 5.0, (_transfer(1),))
         c = Block(2, genesis_digest(), 0, 5.0)
         assert len({block_digest(x) for x in (a, b, c)}) == 3
+
+    @pytest.mark.parametrize("field,other", [
+        ("new_owner", Address.from_int(99)),
+        ("kind", TxKind.REMOVE),
+        ("description", "abd"),
+    ])
+    def test_every_ledger_field_changes_digest(self, field, other):
+        tx = create_tx(1, Address.from_int(1), EvidenceId.from_int(1),
+                       "abc", 0.0) if field == "description" else _transfer(1)
+        alt = replace(tx, **{field: other})
+        assert (alt.gas, alt.size) == (tx.gas, tx.size)
+        a = Block(1, genesis_digest(), 0, 5.0, (tx,))
+        b = Block(1, genesis_digest(), 0, 5.0, (alt,))
+        assert block_digest(a) != block_digest(b)

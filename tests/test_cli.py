@@ -68,17 +68,17 @@ class TestSimRun:
 GOLDEN_RUNS = {
     "no-fault": (["--seed", "11", "--periods", "30", "--workload", "rate:3"],
                  "85599ea81a569b91c6411d3026293f74e4411c7704fd939318b3fc514a7cd3f4",
-                 "f597a7e25fb02ad213c3f4553e7a6b611961fe50b15428b3a6436eeb46140c3c"),
+                 "2ae4ef0045b92174981c5759fc572651b64000d059d2af29d379313835fedec9"),
     "silent": (["--seed", "11", "--periods", "30", "--byzantine", "3:silent"],
                "847c3d29ab2748e2ac7d1c50642ca96ecb726d993a214a4fffbe900639a9a97d",
-               "a49f4acb1e767bcde3f26683d436b8b5164a60dfe447d2ba15fc020df7dec675"),
+               "1276154b0ad4f1cca35ef870b256b779e2cbe4cbc0ea8bf8fd4f237c097705a7"),
     "equivocate": (["--seed", "11", "--periods", "30",
                     "--byzantine", "1:equivocate"],
                    "64d44181d62323662a20bace475564bb0d3c77f6db13812b1e43335bcab9a622",
-                   "c390d1162d5f05c8b7aaddfbb60f949bb74fc0598004c8986c3964a049144c3a"),
+                   "013a79ce6248736890ac1f3b4df4730f1246d421e333715b2193fc7a8a32519f"),
     "delay-jitter": (["--config", "{config}", "--workload", "rate:4"],
                      "ac413a8ecc7f1d9ffbf2f42e6b26a0f4971b9b63ef6404624c25afa016f3ead6",
-                     "3e15357774596b505a4d4b252874883651c331459ce45d122ffd0400d07c8977"),
+                     "d86bf37c6b46af65a3f30c496ed6cb5b24caeed373f088988c5dad0dbdc68b2e"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
 

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from custodysim.blocks import Block, block_digest, genesis_digest
 from custodysim.consensus import (ConsensusMessage, MsgType, NotProposer,
                                   Phase, Validator, max_faulty, quorum_size,
                                   select_proposer)
-from custodysim.ledger import Address, EvidenceId, transfer_tx
+from custodysim.ledger import (Address, EvidenceId, TxKind, create_tx,
+                               transfer_tx)
 
 
 class TestQuorum:
@@ -243,3 +246,33 @@ class TestRoundChange:
         env.fire_last_timer()
         assert v.round == 1
         assert v.locked and v.locked_block is block
+
+    @pytest.mark.parametrize("change", [
+        dict(new_owner=Address.from_int(99)),
+        dict(kind=TxKind.REMOVE),
+        dict(description="abd"),
+    ])
+    def test_locked_validator_refuses_block_differing_in_one_field(
+            self, change):
+        env = StubEnv()
+        v = env.make(3)
+        v.start_height(0.0)
+        tx = create_tx(1, Address.from_int(1), EvidenceId.from_int(1),
+                       "abc", 0.0) if "description" in change else \
+            transfer_tx(1, Address.from_int(1), EvidenceId.from_int(1),
+                        Address.from_int(2), 0.0)
+        block = Block(0, v.head_digest, 0, 0.0, (tx,))
+        digest = block_digest(block)
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 0, digest, 0, block))
+        for s in (0, 1, 2):
+            v.handle(_prepare(s, digest))
+        assert v.locked
+        env.fire_last_timer()
+        # round 1's proposer re-proposes the locked block with one field
+        # of its transaction changed
+        other = replace(block, transactions=(replace(tx, **change),))
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 1,
+                                  block_digest(other), 1, other))
+        assert v.phase is Phase.AWAITING
+        assert v.locked_block is block
+        assert env.broadcasts[-1].type is MsgType.COMMIT
