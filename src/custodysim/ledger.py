@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 MAX_DESCRIPTION_LEN = 1024
@@ -295,8 +295,12 @@ class LedgerState:
         del self.evidences[evidence_id]
 
     def get_evidence(self, evidence_id: EvidenceId) -> EvidenceEntry:
-        """Read-only lookup; returns a defensive copy of the entry."""
-        return copy.deepcopy(self._existing(evidence_id))
+        """Read-only lookup; returns a defensive copy of the entry.
+
+        Only the history lists are copied: ids and addresses are frozen.
+        """
+        entry = self._existing(evidence_id)
+        return replace(entry, taddr=list(entry.taddr), ttime=list(entry.ttime))
 
     def apply(self, tx: Transaction, ledger_time: float) -> Receipt:
         """Apply one transaction at the given ledger (block) timestamp.

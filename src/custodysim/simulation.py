@@ -170,15 +170,13 @@ class _Node:
 class _SilentNode(_Node):
     """Receives everything, never acts: the silent fault model.
 
-    It admits client transactions to its mempool but ignores consensus
-    messages, and the simulation never starts a height on it, so it
-    never proposes, votes or arms a timer.
+    It drops client transactions and consensus messages alike, and the
+    simulation never starts a height on it, so it never proposes, votes
+    or arms a timer.
     """
 
     def deliver(self, message) -> None:
-        if not isinstance(message, ConsensusMessage):
-            self._admit(message)
-        # consensus messages are ignored entirely
+        pass
 
 
 class _EquivocatingNode(_Node):

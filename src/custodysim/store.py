@@ -3,10 +3,19 @@
 Blobs live as id-named files next to a tab-separated index. Ids are the
 hash of blob plus nonce, so every acquisition can re-verify that the
 bytes on disk still match what was registered on the ledger.
+
+The index is an append-only journal, one line per operation:
+``<hex id>\t<nonce>\t<size>`` records a put and ``-\t<hex id>`` a
+delete. Opening the store replays it in file order. A last line without
+its trailing newline is a torn append and is dropped. If the replay met
+a delete or a torn line, the live entries are written to a temporary
+file that is renamed over the index; that compaction on open is the only
+time the whole index is written.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from pathlib import Path
 from typing import Callable, Optional, Protocol
@@ -50,7 +59,16 @@ def _sha256(data: bytes) -> bytes:
 
 
 class EvidenceStore:
-    """Flat-file store: <root>/<hex id>.bin plus <root>/index.tsv."""
+    """Flat-file store: <root>/<hex id>.bin plus <root>/index.tsv.
+
+    ``put`` and ``delete`` each append one line to the index journal (see
+    the module docstring) and rewrite nothing. The index line is what
+    commits an operation: ``put`` writes the blob before its line and
+    ``delete`` removes the blob after its line, so a crash between the
+    two leaves at worst a blob file the index does not name, never an
+    index entry without its blob. Opening a store compacts the journal
+    when it holds a delete or a torn last line.
+    """
 
     INDEX = "index.tsv"
 
@@ -67,23 +85,43 @@ class EvidenceStore:
         path = self._index_path()
         if not path.exists():
             return
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            hex_id, nonce, size = line.split("\t")
-            self._index[EvidenceId.from_hex(hex_id)] = (int(nonce), int(size))
+        lines = path.read_bytes().split(b"\n")
+        # empty when the file ends with a newline, else a torn append
+        compact = lines.pop() != b""
+        for number, line in enumerate(lines, 1):
+            try:
+                fields = line.decode("ascii").split("\t")
+                if len(fields) == 2 and fields[0] == "-":
+                    del self._index[EvidenceId.from_hex(fields[1])]
+                    compact = True
+                elif len(fields) == 3:
+                    self._index[EvidenceId.from_hex(fields[0])] = (
+                        int(fields[1]), int(fields[2]))
+                else:
+                    raise ValueError("expected 3 fields, or 2 after '-'")
+            except (ValueError, KeyError) as err:  # UnicodeDecodeError too
+                raise StoreError(
+                    f"{path}: line {number} is malformed: {line!r}") from err
+        if compact:
+            self._compact()
 
-    def _save_index(self) -> None:
-        lines = [f"{eid.hex}\t{nonce}\t{size}"
-                 for eid, (nonce, size) in sorted(self._index.items())]
-        self._index_path().write_text("\n".join(lines) + ("\n" if lines else ""))
+    def _compact(self) -> None:
+        """Atomically replace the journal with one put line per live entry."""
+        tmp = self.root / (self.INDEX + ".tmp")
+        tmp.write_text("".join(f"{eid.hex}\t{nonce}\t{size}\n"
+                               for eid, (nonce, size) in self._index.items()))
+        os.replace(tmp, self._index_path())
+
+    def _append(self, line: str) -> None:
+        with open(self._index_path(), "a") as index:
+            index.write(line + "\n")
 
     def put(self, evidence_id: EvidenceId, nonce: int, blob: bytes) -> None:
         if evidence_id in self._index:
             raise IdCollision(evidence_id.hex)
         (self.root / f"{evidence_id.hex}.bin").write_bytes(blob)
+        self._append(f"{evidence_id.hex}\t{nonce}\t{len(blob)}")
         self._index[evidence_id] = (nonce, len(blob))
-        self._save_index()
 
     def get(self, evidence_id: EvidenceId) -> tuple[bytes, int]:
         """Return (blob, nonce) for a stored id."""
@@ -96,9 +134,9 @@ class EvidenceStore:
     def delete(self, evidence_id: EvidenceId) -> None:
         if evidence_id not in self._index:
             raise EvidenceNotFound(evidence_id.hex)
-        (self.root / f"{evidence_id.hex}.bin").unlink(missing_ok=True)
+        self._append(f"-\t{evidence_id.hex}")
         del self._index[evidence_id]
-        self._save_index()
+        (self.root / f"{evidence_id.hex}.bin").unlink(missing_ok=True)
 
     def __contains__(self, evidence_id: EvidenceId) -> bool:
         return evidence_id in self._index
@@ -113,6 +151,8 @@ class LedgerClient(Protocol):
     def submit(self, tx: Transaction) -> Receipt: ...
 
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry: ...
+
+    def evidence_ids(self) -> list[EvidenceId]: ...
 
     def next_uid(self) -> int: ...
 
@@ -133,6 +173,9 @@ class LocalLedgerClient:
 
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry:
         return self.state.get_evidence(evidence_id)
+
+    def evidence_ids(self) -> list[EvidenceId]:
+        return list(self.state.evidences)
 
     def next_uid(self) -> int:
         self._uid += 1
@@ -219,9 +262,4 @@ class Frontend:
 
     def check_referential_integrity(self) -> bool:
         """Every stored id has a ledger entry and vice versa."""
-        for evidence_id in self.store.ids():
-            try:
-                self.client.get_entry(evidence_id)
-            except EvidenceNotFound:
-                return False
-        return True
+        return set(self.store.ids()) == set(self.client.evidence_ids())

@@ -208,6 +208,15 @@ class TestLedgerWorkflow:
         assert code == 1
         assert "EvidenceNotFound" in err
 
+    def test_malformed_index_exits_1(self, tmp_path, capsys):
+        store = tmp_path / "s"
+        store.mkdir()
+        (store / "index.tsv").write_text("not an index line\n")
+        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
+                            "ab" * 32)
+        assert code == 1
+        assert "StoreError" in err and "line 1" in err
+
     def test_hex_identity_accepted(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         blob = tmp_path / "e.bin"

@@ -105,6 +105,16 @@ class TestGetEvidence:
         state.get_evidence(ids[0]).taddr.append(addrs[3])
         assert state.get_evidence(ids[0]).taddr == [addrs[0]]
 
+    def test_returned_history_and_owner_are_isolated(self, addrs, ids):
+        state = LedgerState()
+        state.create_evidence(addrs[0], ids[0], "", 1.0)
+        copy = state.get_evidence(ids[0])
+        copy.ttime.append(9.0)
+        copy.owner = addrs[3]
+        entry = state.get_evidence(ids[0])
+        assert entry.ttime == [1.0]
+        assert entry.owner == addrs[0]
+
 
 class TestCostModel:
     @pytest.mark.parametrize("kind,length,gas,size", [

@@ -208,6 +208,14 @@ class TestByzantine:
         assert len(honest) == 1
         assert result.blocks_per_period >= 0.9
 
+    def test_silent_validator_admits_no_transactions(self):
+        cfg = _cfg(periods=50, byzantine=((3, SILENT),))
+        wl = constant_rate_workload(RateSpec(4, 50), seed=0, period=T)
+        sim = Simulation(cfg, wl)
+        sim.run()
+        assert len(wl) == 200
+        assert len(sim.nodes[3].mempool) == 0
+
     def test_equivocating_validator_safety_and_liveness(self):
         cfg = _cfg(periods=20, byzantine=((2, EQUIVOCATE),),
                    round_timeout=0.5 * T)

@@ -1,12 +1,15 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from custodysim.ledger import (Address, EvidenceAlreadyExists, EvidenceId,
                                EvidenceNotFound, NotCreator, NotOwner)
 from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
-                              LocalLedgerClient, generate_id)
+                              LocalLedgerClient, StoreError, generate_id)
 
 ALICE = Address.from_label("alice")
 BOB = Address.from_label("bob")
@@ -71,6 +74,135 @@ class TestEvidenceStore:
         second = EvidenceStore(root)
         assert second.get(eid) == (b"persist me", 42)
         assert second.ids() == [eid]
+
+
+def _put_line(eid, nonce, size):
+    return f"{eid.hex}\t{nonce}\t{size}\n"
+
+
+class TestIndexJournal:
+    @pytest.mark.parametrize("numbers", [(), (3, 1, 2)])
+    def test_sorted_index_from_full_rewrite_loads_unchanged(self, tmp_path,
+                                                            numbers):
+        # the layout a sorted whole-file rewrite leaves: three columns,
+        # and an empty file for an empty index
+        root = tmp_path / "s"
+        root.mkdir()
+        entries = {EvidenceId.from_int(n): (n * 7, n) for n in numbers}
+        for eid, (_, size) in entries.items():
+            (root / f"{eid.hex}.bin").write_bytes(b"b" * size)
+        text = "".join(_put_line(eid, *entries[eid]) for eid in sorted(entries))
+        (root / "index.tsv").write_text(text)
+        store = EvidenceStore(root)
+        assert store.ids() == sorted(entries)
+        for eid, (nonce, size) in entries.items():
+            assert store.get(eid) == (b"b" * size, nonce)
+        assert (root / "index.tsv").read_text() == text
+
+    @pytest.mark.parametrize("torn", ["", "ab", "-\t" + "01" * 16],
+                             ids=["whole-put", "part-put", "part-delete"])
+    def test_torn_last_line_dropped_and_compacted(self, tmp_path, torn):
+        root = tmp_path / "s"
+        first = EvidenceStore(root)
+        a, b, c = (EvidenceId.from_int(n) for n in (1, 2, 3))
+        first.put(a, 1, b"a")
+        first.put(b, 2, b"bb")
+        first.delete(a)
+        # a complete put line cut just before its newline is torn too
+        tail = torn or _put_line(c, 3, 3)[:-1]
+        with open(root / "index.tsv", "a") as index:
+            index.write(tail)
+        second = EvidenceStore(root)
+        assert second.ids() == [b]
+        assert (root / "index.tsv").read_text() == _put_line(b, 2, 2)
+        assert not (root / "index.tsv.tmp").exists()
+        second.put(c, 3, b"ccc")
+        assert EvidenceStore(root).ids() == sorted([b, c])
+
+    @pytest.mark.parametrize("bad", [
+        "", "zz" * 32 + "\t1\t1", "01" * 32 + "\t1", "01" * 32 + "\tx\t1",
+        "01" * 31 + "\t1\t1", "-\t" + "02" * 32, "-\t" + "01" * 32 + "\t1",
+        "01" * 32 + "\t1\t1\t1", "01" * 32 + "\t1\t\u00e9"], ids=[
+        "blank", "bad-hex", "two-fields", "bad-nonce", "short-id",
+        "delete-unknown", "delete-extra-field", "four-fields", "non-ascii"])
+    def test_malformed_middle_line_raises(self, tmp_path, bad):
+        root = tmp_path / "s"
+        root.mkdir()
+        eid = EvidenceId(b"\x01" * 32)
+        (root / "index.tsv").write_text(
+            _put_line(eid, 1, 1) + bad + "\n" + _put_line(eid, 1, 1))
+        with pytest.raises(StoreError, match="line 2"):
+            EvidenceStore(root)
+
+    def test_each_operation_appends_one_line(self, store):
+        path = store.root / "index.tsv"
+        live = []
+        for n in range(20):
+            before = path.read_bytes() if path.exists() else b""
+            if n % 3 == 2:
+                eid = live.pop(0)
+                store.delete(eid)
+                line = f"-\t{eid.hex}\n"
+            else:
+                eid = EvidenceId.from_int(n + 1)
+                store.put(eid, n, b"x" * n)
+                live.append(eid)
+                line = _put_line(eid, n, n)
+            assert path.read_bytes() == before + line.encode()
+        assert store.ids() == sorted(live)
+
+
+_KEYS = st.integers(0, 5)
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), _KEYS, st.integers(0, 2 ** 64 - 1)),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("tear"), _KEYS, st.integers(0, 80))),
+    max_size=30)
+
+
+@given(steps=_STEPS)
+@settings(deadline=None)
+def test_store_matches_dict_model(steps):
+    """Puts, deletes, reopens and torn appends against a plain dict."""
+    eids = [EvidenceId.from_int(k + 1) for k in range(6)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        store, model = EvidenceStore(root), {}
+        for step in steps:
+            if step[0] == "put":
+                eid, blob = eids[step[1]], b"blob-%d" % step[1]
+                if eid in model:
+                    with pytest.raises(IdCollision):
+                        store.put(eid, step[2], blob)
+                else:
+                    store.put(eid, step[2], blob)
+                    model[eid] = (blob, step[2])
+            elif step[0] == "delete":
+                eid = eids[step[1]]
+                if eid in model:
+                    store.delete(eid)
+                    del model[eid]
+                else:
+                    with pytest.raises(EvidenceNotFound):
+                        store.delete(eid)
+            else:
+                if step[0] == "tear":
+                    line = _put_line(eids[step[1]], 5, 5)[:-1]
+                    with open(root / "index.tsv", "a") as index:
+                        index.write(line[:step[2]])
+                store = EvidenceStore(root)
+                lines = (root / "index.tsv").read_text().splitlines() \
+                    if (root / "index.tsv").exists() else []
+                assert len(lines) == len(model)
+            assert store.ids() == sorted(model)
+            for eid in eids:
+                assert (eid in store) == (eid in model)
+                if eid in model:
+                    assert store.get(eid) == model[eid]
+                else:
+                    with pytest.raises(EvidenceNotFound):
+                        store.get(eid)
 
 
 class TestSubmitEvidence:
@@ -190,4 +322,10 @@ class TestTransferAndDiscard:
         # an orphaned blob (no ledger entry) breaks the invariant
         orphan = generate_id(b"orphan", 0)
         frontend.store.put(orphan, 0, b"orphan")
+        assert not frontend.check_referential_integrity()
+
+    def test_ledger_entry_without_blob_breaks_integrity(self, frontend):
+        frontend.submit_evidence(ALICE, b"kept", "d")
+        frontend.client.state.create_evidence(
+            BOB, generate_id(b"elsewhere", 0), "no blob here", 0.0)
         assert not frontend.check_referential_integrity()
