@@ -17,7 +17,8 @@ import numpy as np
 
 from . import ledger
 from .blocks import HEADER_SIZE
-from .ledger import TxKind
+from .config import ChainParams
+from .consensus import COMMIT_SIZE, PREPARE_SIZE, PREPREPARE_OVERHEAD
 
 MIB = 2 ** 20
 GIB = 2 ** 30
@@ -38,23 +39,6 @@ class InvalidMaxSize(AnalyticsError):
 
 class InvalidBounds(AnalyticsError):
     pass
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    period: float = 300.0            # block period T, seconds
-    gas_limit: int = 805020          # block gas limit G
-    header_size: int = HEADER_SIZE   # bytes
-    bandwidth: float = 1_000_000.0   # slowest-link bytes/second
-    prepare_size: int = 128
-    commit_size: int = 128
-    preprepare_overhead: int = 256
-
-    def __post_init__(self):
-        if self.period <= 0 or self.header_size <= 0 or self.bandwidth <= 0:
-            raise ValueError("period, header size and bandwidth must be positive")
-        if self.gas_limit < 0:
-            raise ValueError("gas limit cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -96,22 +80,31 @@ def block_inclusion_latency(tx_issue_time: float, block_creation_time: float,
 
 def consensus_latency(blk_size: int, params: ChainParams) -> float:
     """Approximate commit time: total phase bytes over the slowest link."""
-    total = (params.preprepare_overhead + blk_size
-             + params.prepare_size + params.commit_size)
+    total = PREPREPARE_OVERHEAD + blk_size + PREPARE_SIZE + COMMIT_SIZE
     return total / params.bandwidth
+
+
+def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
+    """Largest gas limit whose fullest block (header plus k transfers, the
+    dominant type) commits within max_latency; k is at least 0."""
+    budget = int(max_latency * params.bandwidth) - PREPREPARE_OVERHEAD \
+        - PREPARE_SIZE - COMMIT_SIZE
+    k = max(0, budget - HEADER_SIZE) // TRANSFER.size
+    _, upper = gas_limit_range_for_max_size(HEADER_SIZE + k * TRANSFER.size,
+                                            standard_catalog())
+    return upper
 
 
 # -- maximum block size ------------------------------------------------
 
 
-def max_block_size_closed_form(gas_limit: int, catalog: Sequence[TxType],
-                               header_size: int = HEADER_SIZE) -> int:
+def max_block_size_closed_form(gas_limit: int, catalog: Sequence[TxType]) -> int:
     """Header plus as many copies of the dominant type as the gas allows."""
     dominant = dominance_check(catalog)
     if dominant is None:
         raise AnalyticsError(
             "no single dominant transaction type; use the knapsack solver")
-    return header_size + (gas_limit // dominant.gas) * dominant.size
+    return HEADER_SIZE + (gas_limit // dominant.gas) * dominant.size
 
 
 def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
@@ -169,14 +162,13 @@ def ukp_max_value_dense(capacity: int, items: Sequence[TxType]) -> int:
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType],
-                       header_size: int = HEADER_SIZE,
                        capacity_cap: int = 100_000_000) -> int:
     """Maximum block size via the exact knapsack solver."""
     if gas_limit > capacity_cap:
         raise CapacityTooLargeForExactDP(
             f"gas limit {gas_limit} exceeds the exact-solver cap "
             f"{capacity_cap}; use the closed form")
-    return header_size + ukp_max_value(gas_limit, catalog)
+    return HEADER_SIZE + ukp_max_value(gas_limit, catalog)
 
 
 def dominance_check(catalog: Sequence[TxType]) -> Optional[TxType]:
@@ -200,8 +192,8 @@ def _dominance_cached(catalog: tuple) -> Optional[TxType]:
     return None
 
 
-def gas_limit_range_for_max_size(max_size: int, catalog: Sequence[TxType],
-                                 header_size: int = HEADER_SIZE) -> tuple:
+def gas_limit_range_for_max_size(max_size: int,
+                                 catalog: Sequence[TxType]) -> tuple:
     """Gas-limit interval realizing a target maximum block size.
 
     The target must lie on the lattice header + k * size(dominant).
@@ -209,7 +201,7 @@ def gas_limit_range_for_max_size(max_size: int, catalog: Sequence[TxType],
     dominant = dominance_check(catalog)
     if dominant is None:
         raise AnalyticsError("no dominant transaction type")
-    payload = max_size - header_size
+    payload = max_size - HEADER_SIZE
     if payload < 0 or payload % dominant.size != 0:
         raise InvalidMaxSize(
             f"{max_size} is not header + k*{dominant.size} for integer k")
@@ -220,17 +212,17 @@ def gas_limit_range_for_max_size(max_size: int, catalog: Sequence[TxType],
 # -- chain growth ------------------------------------------------------
 
 
-def header_overhead(t: float, period: float,
-                    header_size: int = HEADER_SIZE) -> Fraction:
+def header_overhead(t: float, period: float) -> Fraction:
     """Cumulative header bytes after running for t seconds (exact)."""
     if t < 0:
         raise ValueError("t cannot be negative")
-    return Fraction(header_size) * Fraction(t) / Fraction(period)
+    if period <= 0:
+        raise AnalyticsError("period must be positive")
+    return Fraction(HEADER_SIZE) * Fraction(t) / Fraction(period)
 
 
 def growth_rate(t1: float, t2: float, period: float,
-                tx_multiset: Iterable[tuple],
-                header_size: int = HEADER_SIZE) -> Fraction:
+                tx_multiset: Iterable[tuple]) -> Fraction:
     """Chain bytes added over (t1, t2]: header term plus included tx sizes.
 
     tx_multiset is an iterable of (TxType, count) pairs for the
@@ -239,7 +231,7 @@ def growth_rate(t1: float, t2: float, period: float,
     if t2 < t1:
         raise ValueError("interval end precedes its start")
     content = sum(tx_type.size * count for tx_type, count in tx_multiset)
-    return header_overhead(t2 - t1, period, header_size) + content
+    return header_overhead(t2 - t1, period) + content
 
 
 # -- gas-limit planning ------------------------------------------------
@@ -315,27 +307,33 @@ class GrowthReportRow:
         return float(self.total_bytes) / MIB
 
 
-def annual_growth_row(n: int, period: float = 300.0,
-                      header_size: int = HEADER_SIZE) -> GrowthReportRow:
+def annual_multiset(n: int) -> list:
+    """(type, count) multiset: n full-description creates, n removes,
+    10n transfers."""
+    if n < 0:
+        raise ValueError("count cannot be negative")
+    return [(create_type(ledger.MAX_DESCRIPTION_LEN), n), (REMOVE, n),
+            (TRANSFER, 10 * n)]
+
+
+def annual_growth_row(n: int, period: float = 300.0) -> GrowthReportRow:
     """Growth over one year for n creations/removals and 10n transfers."""
-    multiset = [(create_type(ledger.MAX_DESCRIPTION_LEN), n),
-                (REMOVE, n), (TRANSFER, 10 * n)]
+    multiset = annual_multiset(n)
     content = sum(t.size * c for t, c in multiset)
-    total = growth_rate(0, YEAR_SECONDS, period, multiset, header_size)
-    overhead = header_overhead(YEAR_SECONDS, period, header_size)
+    total = growth_rate(0, YEAR_SECONDS, period, multiset)
+    overhead = header_overhead(YEAR_SECONDS, period)
     return GrowthReportRow(n, content, total,
                            float(overhead / total) * 100.0)
 
 
-def annual_growth_table(period: float = 300.0,
-                        workloads: Sequence[int] = (10_000, 100_000, 1_000_000),
-                        header_size: int = HEADER_SIZE) -> list:
-    return [annual_growth_row(n, period, header_size) for n in workloads]
+def annual_growth_table(
+        period: float = 300.0,
+        workloads: Sequence[int] = (10_000, 100_000, 1_000_000)) -> list:
+    return [annual_growth_row(n, period) for n in workloads]
 
 
 def annual_header_overhead_sweep(
-        periods_minutes: Sequence[int] = (1, 2, 5, 10, 15, 30, 60),
-        header_size: int = HEADER_SIZE) -> list:
+        periods_minutes: Sequence[int] = (1, 2, 5, 10, 15, 30, 60)) -> list:
     """(period minutes, header bytes per year) for a sweep of block periods."""
-    return [(m, header_overhead(YEAR_SECONDS, m * 60, header_size))
+    return [(m, header_overhead(YEAR_SECONDS, m * 60))
             for m in periods_minutes]

@@ -8,7 +8,8 @@ from typing import Iterable, Iterator, Optional
 
 from .ledger import Transaction
 
-HEADER_SIZE = 1909
+HEADER_SIZE = 1909    # bytes of every block header
+GENESIS_SIZE = 4096   # bytes of the genesis block, counted in the chain size
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,6 @@ class Block:
     proposer: int
     timestamp: float
     transactions: tuple = ()
-    header_size: int = HEADER_SIZE
     # Extra byte folded into the digest; lets tests (and the equivocating
     # fault model) mint two distinct blocks from the same contents.
     salt: int = 0
@@ -26,7 +26,7 @@ class Block:
 
 def block_size(block: Block) -> int:
     """Header plus the serialized size of every included transaction."""
-    return block.header_size + sum(tx.size for tx in block.transactions)
+    return HEADER_SIZE + sum(tx.size for tx in block.transactions)
 
 
 def block_gas(block: Block) -> int:
@@ -106,8 +106,8 @@ class Mempool:
 
 
 def build_block(mempool: Mempool, gas_limit: int, height: int,
-                parent_digest: bytes, proposer: int, period_start: float,
-                header_size: int = HEADER_SIZE) -> Block:
+                parent_digest: bytes, proposer: int,
+                period_start: float) -> Block:
     """Fill a block from the mempool in strict FIFO order.
 
     Filling stops at the first transaction that does not fit under the
@@ -122,5 +122,4 @@ def build_block(mempool: Mempool, gas_limit: int, height: int,
         chosen.append(tx)
         gas += tx.gas
     return Block(height=height, parent_digest=parent_digest, proposer=proposer,
-                 timestamp=period_start, transactions=tuple(chosen),
-                 header_size=header_size)
+                 timestamp=period_start, transactions=tuple(chosen))

@@ -6,6 +6,7 @@ failed check), 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
@@ -14,11 +15,11 @@ from concurrent import futures
 from pathlib import Path
 
 from . import analytics, workload
-from .analytics import MIB, ChainParams, standard_catalog
-from .config import ConfigError, build_config, parse_byzantine, read_config_file
+from .analytics import MIB, AnalyticsError, standard_catalog
+from .config import (ChainParams, ConfigError, ExperimentConfig, build_config,
+                     parse_byzantine, read_config_file)
 from .ledger import (Address, EvidenceId, LedgerError, LedgerState)
-from .netsim import LinkModel
-from .simulation import ExperimentConfig, run_experiment
+from .simulation import run_experiment
 from .store import (EvidenceStore, Frontend, LocalLedgerClient, StoreError)
 
 METRICS_COLUMNS = ("period_index", "gas_rate", "mean_lb", "max_lb", "mean_lc",
@@ -204,9 +205,18 @@ def _workload_from_spec(spec: str, config: ExperimentConfig) -> list:
     raise ConfigError(f"bad workload spec {spec!r}")
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file at path opened for CSV writing, or stdout if path is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
+
+
 def _write_metrics(rows, path) -> None:
-    out = sys.stdout if path is None else open(path, "w", newline="")
-    try:
+    with _output(path) as out:
         writer = csv.writer(out)
         writer.writerow(METRICS_COLUMNS)
         for row in rows:
@@ -214,9 +224,6 @@ def _write_metrics(rows, path) -> None:
                              f"{row.mean_lb:.6f}", f"{row.max_lb:.6f}",
                              f"{row.mean_lc:.9f}", row.committed_block_size,
                              row.chain_size_bytes, row.mempool_depth])
-    finally:
-        if path is not None:
-            out.close()
 
 
 def cmd_sim_run(args) -> int:
@@ -235,15 +242,13 @@ def cmd_sim_sweep(args) -> int:
     base = _config_from_args(args)
     key, _, values = args.sweep.partition("=")
     key = key.replace("-", "_")
-    if not values or not hasattr(base, key):
+    if not values or key not in base.__dict__:
         raise ConfigError(f"bad sweep spec {args.sweep!r}")
     try:
         parsed = [int(v) if v.isdigit() else float(v) for v in values.split(",")]
     except ValueError as err:
         raise ConfigError(f"bad sweep values in {args.sweep!r}") from err
     configs = [ExperimentConfig(**{**base.__dict__, key: v}) for v in parsed]
-    for cfg in configs:
-        cfg.validate()
 
     if args.parallel_sweep:
         with futures.ProcessPoolExecutor() as pool:
@@ -273,22 +278,14 @@ def _sweep_task(item):
 # -- analyze commands --------------------------------------------------
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
 def cmd_analyze_table2(args) -> int:
     rows = analytics.annual_growth_table(period=args.period)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["workload_n", "content_mib", "total_mib", "overhead_pct"])
         for row in rows:
             writer.writerow([row.creations_per_year, f"{row.content_mib:.2f}",
                              f"{row.total_mib:.2f}", f"{row.overhead_pct:.2f}"])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -297,16 +294,13 @@ def cmd_analyze_fig3(args) -> int:
         minutes = [int(m) for m in args.minutes.split(",")]
     except ValueError as err:
         raise ConfigError(f"bad minutes list {args.minutes!r}") from err
-    out = _open_out(args.out)
-    try:
+    sweep = analytics.annual_header_overhead_sweep(minutes)
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["period_minutes", "header_bytes_per_year",
                          "header_mib_per_year"])
-        for m, overhead in analytics.annual_header_overhead_sweep(minutes):
+        for m, overhead in sweep:
             writer.writerow([m, int(overhead), f"{float(overhead) / MIB:.2f}"])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -314,15 +308,8 @@ def cmd_analyze_plan(args) -> int:
     if args.upper_bound is not None:
         upper = args.upper_bound
     else:
-        params = ChainParams(bandwidth=args.bandwidth)
-        budget = args.max_consensus_latency * args.bandwidth
-        max_size = int(budget) - params.preprepare_overhead \
-            - params.prepare_size - params.commit_size
-        payload = max(0, max_size - params.header_size)
-        k = payload // analytics.TRANSFER.size
-        lattice_size = params.header_size + k * analytics.TRANSFER.size
-        _, upper = analytics.gas_limit_range_for_max_size(
-            lattice_size, standard_catalog())
+        upper = analytics.latency_gas_bound(
+            args.max_consensus_latency, ChainParams(bandwidth=args.bandwidth))
     plan = analytics.plan_gas_limit(args.max_gas_rate, args.avg_gas_rate, upper)
     print(f"lower bound (peak rate):    {plan.max_rate_bound}")
     print(f"lower bound (average rate): {plan.avg_rate_bound}")
@@ -332,6 +319,8 @@ def cmd_analyze_plan(args) -> int:
 
 
 def cmd_analyze_ukp(args) -> int:
+    if args.samples < 0 or args.max_gas < 0:
+        raise ConfigError("--samples and --max-gas cannot be negative")
     catalog = standard_catalog()
     rng = random.Random(args.seed)
     transfer_gas = analytics.TRANSFER.gas
@@ -461,7 +450,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, AnalyticsError) as err:
+        # every AnalyticsError the CLI can reach comes from a flag value
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (LedgerError, StoreError, OSError) as err:

@@ -1,13 +1,89 @@
-"""Line-oriented ``key = value`` configuration files.
+"""The parameter objects and line-oriented ``key = value`` config files.
 
-Keys mirror the CLI flag names with dashes replaced by underscores;
-explicit CLI flags always win over file values.
+``ChainParams`` (block period, gas limit, link bandwidth) is read by the
+simulator and the closed-form models alike; ``ExperimentConfig`` adds
+the settings of one run. Both validate on construction. Header, genesis
+and message sizes are constants in ``blocks`` and ``consensus``.
+
+Config-file keys mirror the CLI flag names with dashes replaced by
+underscores; explicit CLI flags always win over file values.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
-from .simulation import EQUIVOCATE, SILENT, ConfigError, ExperimentConfig
+from .consensus import max_faulty
+
+
+class ConfigError(ValueError):
+    pass
+
+
+SILENT = "silent"
+EQUIVOCATE = "equivocate"
+
+
+@dataclass(frozen=True)
+class ChainParams:
+    period: float = 300.0            # block period T, seconds
+    gas_limit: int = 805020          # block gas limit G
+    bandwidth: float = 1_000_000.0   # slowest-link bytes/second
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        if self.period <= 0:
+            raise ConfigError("period must be positive")
+        if self.gas_limit < 0:
+            raise ConfigError("gas limit cannot be negative")
+        if self.bandwidth <= 0:
+            raise ConfigError("bandwidth must be positive")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(ChainParams):
+    validators: int = 4
+    byzantine: tuple = ()  # ((index, "silent"|"equivocate"), ...)
+    base_delay: float = 0.0
+    jitter: float = 0.0
+    round_timeout: Optional[float] = None  # default: 2 * period
+    seed: int = 0
+    periods: int = 100
+    drain: bool = True
+    max_drain_periods: int = 1000
+    reject_invalid_at_mempool: bool = False
+
+    def validate(self) -> None:
+        super().validate()
+        if self.periods <= 0:
+            raise ConfigError("duration must be positive")
+        if self.validators < 1:
+            raise ConfigError("need at least one validator")
+        if self.base_delay < 0:
+            raise ConfigError("base delay cannot be negative")
+        if self.jitter < 0:
+            raise ConfigError("jitter cannot be negative")
+        if self.round_timeout is not None and self.round_timeout <= 0:
+            raise ConfigError("round timeout must be positive")
+        for idx, kind in self.byzantine:
+            if not 0 <= idx < self.validators:
+                raise ConfigError(f"byzantine index {idx} out of range")
+            if kind not in (SILENT, EQUIVOCATE):
+                raise ConfigError(f"unknown byzantine behavior {kind!r}")
+        if self.byzantine:
+            f = max_faulty(self.validators)
+            if len(self.byzantine) > f:
+                raise ConfigError(
+                    f"{len(self.byzantine)} faulty validators exceeds the "
+                    f"tolerated f={f} for n={self.validators}")
+
+    @property
+    def effective_round_timeout(self) -> float:
+        return self.round_timeout or 2.0 * self.period
+
 
 _FIELD_PARSERS = {
     "period": float,
@@ -16,11 +92,6 @@ _FIELD_PARSERS = {
     "bandwidth": float,
     "base_delay": float,
     "jitter": float,
-    "prepare_size": int,
-    "commit_size": int,
-    "preprepare_overhead": int,
-    "header_size": int,
-    "genesis_size": int,
     "round_timeout": float,
     "seed": int,
     "periods": int,
@@ -73,8 +144,6 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        config = ExperimentConfig(**merged)
+        return ExperimentConfig(**merged)
     except TypeError as err:
         raise ConfigError(str(err)) from err
-    config.validate()
-    return config

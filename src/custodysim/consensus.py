@@ -7,6 +7,10 @@ votes are then matched against it by digest, with no rehashing. A
 validator commits once it has seen 2f+1 commit votes, where
 f = floor((n-1)/3). Liveness under a faulty proposer comes from a
 timeout-driven round change.
+
+The message sizes are constants: a pre-prepare costs
+``PREPREPARE_OVERHEAD`` plus its block, a vote ``PREPARE_SIZE`` or
+``COMMIT_SIZE`` bytes.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .blocks import Block, block_digest, block_gas
+from .blocks import Block, block_digest, block_gas, block_size
 
 
 class ConsensusError(Exception):
@@ -57,6 +61,20 @@ class ConsensusMessage:
     digest: bytes
     sender: int
     block: Optional[Block] = None
+
+
+PREPREPARE_OVERHEAD = 256   # bytes of a pre-prepare besides its block
+PREPARE_SIZE = 128
+COMMIT_SIZE = 128
+
+
+def wire_size(msg: ConsensusMessage) -> int:
+    """Bytes a message occupies on a link."""
+    if msg.type is MsgType.PRE_PREPARE:
+        return PREPREPARE_OVERHEAD + block_size(msg.block)
+    if msg.type is MsgType.PREPARE:
+        return PREPARE_SIZE
+    return COMMIT_SIZE
 
 
 class Phase(enum.Enum):

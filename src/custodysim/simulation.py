@@ -10,71 +10,14 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import blocks as blk
 from .blocks import Block, Mempool, block_digest, block_size, build_block
-from .consensus import ConsensusMessage, MsgType, Validator, max_faulty
+# ConfigError is re-exported: callers import it with ExperimentConfig
+from .config import EQUIVOCATE, SILENT, ConfigError, ExperimentConfig
+from .consensus import ConsensusMessage, MsgType, Validator, wire_size
 from .ledger import LedgerState, Transaction
 from .netsim import LinkModel, Network, Scheduler
-
-
-class ConfigError(Exception):
-    pass
-
-
-SILENT = "silent"
-EQUIVOCATE = "equivocate"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    period: float = 300.0
-    gas_limit: int = 805020
-    validators: int = 4
-    byzantine: tuple = ()  # ((index, "silent"|"equivocate"), ...)
-    bandwidth: float = 1_000_000.0
-    base_delay: float = 0.0
-    jitter: float = 0.0
-    prepare_size: int = 128
-    commit_size: int = 128
-    preprepare_overhead: int = 256
-    header_size: int = blk.HEADER_SIZE
-    genesis_size: int = 4096
-    round_timeout: Optional[float] = None  # default: 2 * period
-    seed: int = 0
-    periods: int = 100
-    drain: bool = True
-    max_drain_periods: int = 1000
-    reject_invalid_at_mempool: bool = False
-
-    def validate(self) -> None:
-        if self.period <= 0:
-            raise ConfigError("period must be positive")
-        if self.periods <= 0:
-            raise ConfigError("duration must be positive")
-        if self.validators < 1:
-            raise ConfigError("need at least one validator")
-        if self.gas_limit < 0:
-            raise ConfigError("gas limit cannot be negative")
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        for idx, kind in self.byzantine:
-            if not 0 <= idx < self.validators:
-                raise ConfigError(f"byzantine index {idx} out of range")
-            if kind not in (SILENT, EQUIVOCATE):
-                raise ConfigError(f"unknown byzantine behavior {kind!r}")
-        if self.byzantine:
-            f = max_faulty(self.validators)
-            if len(self.byzantine) > f:
-                raise ConfigError(
-                    f"{len(self.byzantine)} faulty validators exceeds the "
-                    f"tolerated f={f} for n={self.validators}")
-
-    @property
-    def effective_round_timeout(self) -> float:
-        return self.round_timeout if self.round_timeout is not None \
-            else 2.0 * self.period
 
 
 @dataclass
@@ -131,7 +74,7 @@ class _Node:
     def _broadcast(self, msg: ConsensusMessage) -> None:
         if msg.type is MsgType.PRE_PREPARE:
             self.sim.note_proposal(msg)
-        self.sim.network.broadcast(self.index, msg, self.sim.wire_size(msg))
+        self.sim.network.broadcast(self.index, msg, wire_size(msg))
 
     def _set_timer(self, delay: float, callback) -> None:
         self.sim.scheduler.schedule(delay, callback, tag=f"timer:{self.index}")
@@ -142,7 +85,7 @@ class _Node:
             self.sim.note_stuck(stuck)
         return build_block(self.mempool, self.sim.config.gas_limit, height,
                            self.validator.head_digest, self.index,
-                           period_start, self.sim.config.header_size)
+                           period_start)
 
     def _committed(self, block: Block) -> None:
         now = self.sim.scheduler.now
@@ -198,17 +141,16 @@ class _EquivocatingNode(_Node):
             self.sim.note_proposal(alt)
             for recipient in others[:half]:
                 self.sim.network.send(self.index, recipient, msg,
-                                      self.sim.wire_size(msg))
+                                      wire_size(msg))
             for recipient in others[half:]:
                 self.sim.network.send(self.index, recipient, alt,
-                                      self.sim.wire_size(alt))
+                                      wire_size(alt))
             return
         # withhold prepare/commit votes
 
 
 class Simulation:
     def __init__(self, config: ExperimentConfig, workload: list):
-        config.validate()
         self.config = config
         self.workload = sorted(workload, key=lambda tx: (tx.issue_time, tx.uid))
         rng = random.Random(config.seed)
@@ -244,14 +186,6 @@ class Simulation:
         self._periods_elapsed = 0
 
     # hooks from nodes --------------------------------------------------
-
-    def wire_size(self, msg: ConsensusMessage) -> int:
-        cfg = self.config
-        if msg.type is MsgType.PRE_PREPARE:
-            return cfg.preprepare_overhead + block_size(msg.block)
-        if msg.type is MsgType.PREPARE:
-            return cfg.prepare_size
-        return cfg.commit_size
 
     def note_proposal(self, msg: ConsensusMessage) -> None:
         seen = self._proposal_times.get(msg.height)
@@ -340,8 +274,7 @@ class Simulation:
 
         size_by_period = {}
         lc_by_period = {}
-        chain_bytes = cfg.genesis_size
-        chain_size_series = [cfg.genesis_size] * periods
+        chain_size_series = [blk.GENESIS_SIZE] * periods
         for height in sorted(self._block_by_height):
             block = self._block_by_height[height]
             p = int(round(block.timestamp / T))
@@ -351,7 +284,7 @@ class Simulation:
             if block is not None:
                 p = int(round(block.timestamp / T))
                 lc_by_period[p] = lat
-        running = cfg.genesis_size
+        running = blk.GENESIS_SIZE
         for p in range(periods):
             running += size_by_period.get(p, 0)
             chain_size_series[p] = running

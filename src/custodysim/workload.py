@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 
 from . import analytics
+from .analytics import annual_multiset  # re-exported beside annual_workload
 from .ledger import (Address, EvidenceId, TRANSFER_GAS, Transaction,
                      create_tx, remove_tx, transfer_tx)
 
@@ -89,15 +90,6 @@ def ramp_workload(spec: RampSpec, seed: int, period: float,
         target = spec.start_gas_per_period + frac * span
         counts.append(int(target // TRANSFER_GAS))
     return _transfer_workload(counts, seed, period, margin)
-
-
-def annual_multiset(n: int) -> list:
-    """(type, count) multiset: n full-description creates, n removes,
-    10n transfers."""
-    if n < 0:
-        raise InvalidSpec("count cannot be negative")
-    return [(analytics.create_type(1024), n), (analytics.REMOVE, n),
-            (analytics.TRANSFER, 10 * n)]
 
 
 def annual_workload(n: int, seed: int, period: float,

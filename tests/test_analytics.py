@@ -15,6 +15,7 @@ from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
                                   create_type, dominance_check,
                                   gas_limit_range_for_max_size, gas_rate,
                                   growth_rate, header_overhead,
+                                  latency_gas_bound,
                                   max_block_size_closed_form,
                                   max_block_size_ukp, plan_gas_limit,
                                   standard_catalog, ukp_max_value,
@@ -53,6 +54,29 @@ class TestConsensusLatency:
     def test_monotone_in_block_size(self):
         params = ChainParams()
         assert consensus_latency(3000, params) > consensus_latency(1909, params)
+
+
+class TestLatencyGasBound:
+    def test_is_the_largest_limit_meeting_the_target(self, catalog):
+        rng = random.Random(5)
+        for _ in range(2000):
+            params = ChainParams(bandwidth=rng.uniform(1e4, 1e8))
+            # at least the empty block's latency, so some limit meets it
+            floor = consensus_latency(max_block_size_closed_form(0, catalog),
+                                      params)
+            target = floor * rng.uniform(1.0, 50.0)
+            g = latency_gas_bound(target, params)
+
+            def latency(gas):
+                return consensus_latency(
+                    max_block_size_closed_form(gas, catalog), params)
+
+            assert latency(g) <= target < latency(g + 1)
+
+    def test_cli_default_point(self):
+        # 10 ms at 1 MB/s leaves 10,000 - 512 - 1,909 = 7,579 bytes for
+        # 174-byte transfers: 43 fit, so any G below 44 transfers' gas does
+        assert latency_gas_bound(0.01, ChainParams()) == 44 * 80502 - 1
 
 
 class TestMaxBlockSize:

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from custodysim.cli import METRICS_COLUMNS, main
+from custodysim.config import _FIELD_PARSERS, ExperimentConfig
 
 
 def _run(capsys, *argv):
@@ -63,6 +64,25 @@ class TestSimRun:
                           "1:silent,2:silent", "--periods", "3")
         assert code == 2
 
+    def test_negative_round_timeout_exits_2(self, capsys):
+        code, _, err = _run(capsys, "sim", "run", "--periods", "3",
+                            "--round-timeout", "-1")
+        assert code == 2
+        assert "config error: round timeout must be positive" in err
+
+
+class TestConfigSurface:
+    def test_every_file_key_is_a_config_field(self):
+        fields = set(ExperimentConfig.__dataclass_fields__)
+        assert set(_FIELD_PARSERS) <= fields
+
+    def test_size_constants_are_not_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "sizes.cfg"
+        cfg.write_text("header_size = 1909\n")
+        code, _, err = _run(capsys, "sim", "run", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key" in err
+
 
 # scenario -> (sim run flags, SHA-256 of the --out CSV, SHA-256 of stderr)
 GOLDEN_RUNS = {
@@ -121,6 +141,12 @@ class TestSimSweep:
         code, _, _ = _run(capsys, "sim", "sweep", "--sweep", "bogus=1,2")
         assert code == 2
 
+    def test_sweep_over_a_non_field_attribute_exits_2(self, capsys):
+        code, _, err = _run(capsys, "sim", "sweep", "--periods", "2",
+                            "--sweep", "effective-round-timeout=1,2")
+        assert code == 2
+        assert "bad sweep spec" in err and "Traceback" not in err
+
 
 class TestAnalyze:
     def test_table2_values(self, capsys):
@@ -159,6 +185,22 @@ class TestAnalyze:
                             "--samples", "50", "--max-gas", "1000000")
         assert code == 0
         assert "0 mismatches" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["plan-gas-limit", "--max-gas-rate", "100000", "--avg-gas-rate",
+         "50000", "--max-consensus-latency", "0.01", "--bandwidth", "0"],
+        ["table2", "--period", "0"],
+        ["fig3", "--minutes", "0"],
+        ["ukp-check", "--max-gas", "-1"],
+        ["ukp-check", "--samples", "3", "--max-gas", "200000000"],
+        ["plan-gas-limit", "--max-gas-rate", "1", "--avg-gas-rate", "5",
+         "--upper-bound", "3"],
+    ])
+    def test_bad_flag_values_exit_2(self, argv, capsys):
+        code, _, err = _run(capsys, "analyze", *argv)
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
 
 
 class TestLedgerWorkflow:

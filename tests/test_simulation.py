@@ -3,6 +3,7 @@ import math
 import pytest
 
 from custodysim import consensus
+from custodysim.analytics import consensus_latency
 from custodysim.blocks import Block, block_digest
 from custodysim.consensus import ConsensusMessage, MsgType, Validator
 from custodysim.ledger import Address, EvidenceId, create_tx, transfer_tx
@@ -29,6 +30,24 @@ def _run(periods=10, tx_per_period=2, **kw):
     return run_experiment(cfg, wl)
 
 
+class TestModelCrossCheck:
+    """The measured consensus latency of every committed block equals the
+    closed-form byte model, not just at criterion 6's empty block."""
+
+    @pytest.mark.parametrize("bandwidth,validators", [(2e6, 4), (5e5, 7)])
+    def test_mean_lc_matches_consensus_latency(self, bandwidth, validators):
+        cfg = _cfg(periods=20, bandwidth=bandwidth, validators=validators,
+                   seed=3)
+        # the ramp ends at about twice the gas limit, so blocks fill up
+        wl = ramp_workload(RampSpec(0, 1_600_000, cfg.periods), cfg.seed, T)
+        rows = [r for r in run_experiment(cfg, wl).rows
+                if not math.isnan(r.mean_lc)]
+        assert len({r.committed_block_size for r in rows}) >= 10
+        for r in rows:
+            assert r.mean_lc == pytest.approx(
+                consensus_latency(r.committed_block_size, cfg), rel=1e-9)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         ExperimentConfig().validate()
@@ -39,6 +58,8 @@ class TestConfig:
         dict(byzantine=((9, SILENT),)),
         dict(byzantine=((1, "weird"),)),
         dict(validators=4, byzantine=((1, SILENT), (2, SILENT))),
+        dict(round_timeout=0), dict(round_timeout=-1),
+        dict(base_delay=-1), dict(jitter=-5),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
