@@ -86,9 +86,18 @@ def consensus_latency(blk_size: int, params: ChainParams) -> float:
 
 def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
     """Largest gas limit whose fullest block (header plus k transfers, the
-    dominant type) commits within max_latency; k is at least 0."""
+    dominant type) commits within max_latency.
+
+    Raises AnalyticsError when even a header-only block misses the target.
+    """
+    floor = consensus_latency(HEADER_SIZE, params)
+    if max_latency < floor:
+        raise AnalyticsError(
+            f"latency target {max_latency} s is below the empty block's "
+            f"{floor} s")
     budget = int(max_latency * params.bandwidth) - PREPREPARE_OVERHEAD \
         - PREPARE_SIZE - COMMIT_SIZE
+    # max: at the floor itself, int() may round the byte budget down by one
     k = max(0, budget - HEADER_SIZE) // TRANSFER.size
     _, upper = gas_limit_range_for_max_size(HEADER_SIZE + k * TRANSFER.size,
                                             standard_catalog())

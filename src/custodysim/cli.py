@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import random
 import sys
 from concurrent import futures
@@ -351,18 +352,22 @@ def _ledger_context(store_root: Path):
 
 
 def _load_ledger(client: LocalLedgerClient, path: Path) -> None:
-    data = json.loads(path.read_text())
-    client._time = data["clock"]
-    client._uid = data["uid"]
-    state = LedgerState()
-    for raw in data["entries"]:
-        eid = EvidenceId.from_hex(raw["id"])
-        state.create_evidence(Address.from_hex(raw["creator"]), eid,
-                              raw["description"], raw["ttime"][0])
-        entry = state.evidences[eid]
-        entry.owner = Address.from_hex(raw["owner"])
-        entry.taddr = [Address.from_hex(a) for a in raw["taddr"]]
-        entry.ttime = list(raw["ttime"])
+    try:
+        data = json.loads(path.read_text())
+        client._time = float(data["clock"])
+        client._uid = int(data["uid"])
+        state = LedgerState()
+        for raw in data["entries"]:
+            eid = EvidenceId.from_hex(raw["id"])
+            state.create_evidence(Address.from_hex(raw["creator"]), eid,
+                                  raw["description"], raw["ttime"][0])
+            entry = state.evidences[eid]
+            entry.owner = Address.from_hex(raw["owner"])
+            entry.taddr = [Address.from_hex(a) for a in raw["taddr"]]
+            entry.ttime = list(raw["ttime"])
+    except (ValueError, KeyError, IndexError, TypeError) as err:
+        # ValueError covers JSON, hex and UTF-8 decoding errors
+        raise StoreError(f"{path} is malformed: {err}") from err
     client.state = state
 
 
@@ -377,9 +382,12 @@ def _save_ledger(client: LocalLedgerClient, path: Path) -> None:
             "taddr": [a.hex for a in entry.taddr],
             "ttime": entry.ttime,
         })
-    path.write_text(json.dumps(
+    # write aside, then rename: a crash mid-write leaves the old file whole
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(
         {"clock": client.now(), "uid": client._uid, "entries": entries},
         indent=2, sort_keys=True))
+    os.replace(tmp, path)
 
 
 def _identity(label: str) -> Address:

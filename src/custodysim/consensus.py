@@ -81,7 +81,6 @@ class Phase(enum.Enum):
     AWAITING = "awaiting-proposal"
     PRE_PREPARED = "pre-prepared"
     PREPARED = "prepared"
-    COMMITTED = "committed"
 
 
 class Validator:
@@ -128,9 +127,8 @@ class Validator:
     def head_digest(self) -> bytes:
         return self.chain_digests[-1]
 
-    def is_proposer(self, round_: Optional[int] = None) -> bool:
-        r = self.round if round_ is None else round_
-        return select_proposer(self.height, r, self.n) == self.index
+    def is_proposer(self) -> bool:
+        return select_proposer(self.height, self.round, self.n) == self.index
 
     def start_height(self, period_start: float) -> None:
         """Begin consensus for the next height; called at a period boundary."""
@@ -163,20 +161,14 @@ class Validator:
     def handle(self, msg: ConsensusMessage) -> None:
         if msg.height < self.height:
             return  # stale
-        if msg.height > self.height:
-            self._buffer(msg)
-            return
-        if not self.active:
+        if msg.height > self.height or not self.active:
             self._buffer(msg)
             return
         if msg.round < self.round:
             return  # stale round
-        if msg.round > self.round:
-            if self._try_fast_forward(msg):
-                pass  # round advanced; fall through to process msg
-            else:
-                self._buffer(msg)
-                return
+        if msg.round > self.round and not self._try_fast_forward(msg):
+            self._buffer(msg)
+            return
         if msg.type is MsgType.PRE_PREPARE:
             self._on_pre_prepare(msg)
         elif msg.type is MsgType.PREPARE:
@@ -190,8 +182,7 @@ class Validator:
             return False
         if msg.sender != select_proposer(self.height, msg.round, self.n):
             return False
-        if self.locked and self.locked_block is not None \
-                and msg.digest != self.locked_digest:
+        if self.locked and msg.digest != self.locked_digest:
             return False
         self._enter_round(msg.round)
         return True
@@ -219,8 +210,7 @@ class Validator:
             return  # does not extend our chain
         if block_gas(block) > self.gas_limit:
             return  # violates the block gas limit
-        if self.locked and self.locked_block is not None \
-                and msg.digest != self.locked_digest:
+        if self.locked and msg.digest != self.locked_digest:
             return  # locked on a different block
         if msg.digest != block_digest(block):
             return  # digest does not match the block it came with
@@ -258,7 +248,6 @@ class Validator:
 
     def _commit(self) -> None:
         block = self.locked_block
-        self.phase = Phase.COMMITTED
         self.chain.append(block)
         self.chain_digests.append(self.locked_digest)
         self.height += 1

@@ -1,9 +1,9 @@
 """Deterministic discrete-event engine: virtual clock, links, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
-run produces the same event trace, byte for byte. Client traffic enters
-the network as sender ``CLIENT`` and takes the same path as validator
-traffic.
+run fires the same sequence of events at the same times. Client traffic
+enters the network as sender ``CLIENT`` and takes the same path as
+validator traffic.
 """
 from __future__ import annotations
 
@@ -45,36 +45,31 @@ class LinkModel:
 class Scheduler:
     """Event queue ordered by (fire time, insertion sequence).
 
-    Heap entries are ``(fire_time, seq, action, tag)`` tuples; ``seq`` is
-    unique, so the comparison never reaches ``action``.
+    Heap entries are ``(fire_time, seq, action)`` tuples; ``seq`` is
+    unique, so the comparison never reaches ``action``. Events at equal
+    times fire in the order they were scheduled.
     """
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now = 0.0
         self._seq = 0
         self._heap: list[tuple] = []
-        self.trace: Optional[list] = [] if trace else None
 
-    def schedule_at(self, fire_time: float, action: Callable[[], None],
-                    tag: str = "") -> None:
+    def schedule_at(self, fire_time: float, action: Callable[[], None]) -> None:
         if fire_time < self.now:
             raise SchedulingInPast(f"{fire_time} < now {self.now}")
-        heapq.heappush(self._heap, (fire_time, self._seq, action, tag))
+        heapq.heappush(self._heap, (fire_time, self._seq, action))
         self._seq += 1
 
-    def schedule(self, delay: float, action: Callable[[], None],
-                 tag: str = "") -> None:
-        self.schedule_at(self.now + delay, action, tag)
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
+        self.schedule_at(self.now + delay, action)
 
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
         while self._heap and self._heap[0][0] <= t:
-            fire_time, _, action, tag = heapq.heappop(self._heap)
-            self.now = fire_time
-            if self.trace is not None:
-                self.trace.append((fire_time, tag))
+            self.now, _, action = heapq.heappop(self._heap)
             action()
         self.now = t
 
@@ -104,9 +99,6 @@ class Network:
     def add_node(self, node_id: int, deliver: Callable) -> None:
         self._nodes[node_id] = deliver
 
-    def node_ids(self):
-        return list(self._nodes)
-
     def link(self, sender: int, recipient: int) -> LinkModel:
         return self.links.get((sender, recipient), self.default_link)
 
@@ -120,8 +112,7 @@ class Network:
             if self.jitter > 0:
                 delay += self.rng.uniform(0.0, self.jitter)
         deliver = self._nodes[recipient]
-        self.scheduler.schedule(delay, lambda: deliver(message),
-                                tag=f"deliver:{sender}->{recipient}")
+        self.scheduler.schedule(delay, lambda: deliver(message))
 
     def broadcast(self, sender: int, message, wire_size: int) -> None:
         if sender not in self._nodes and sender >= 0:

@@ -77,7 +77,7 @@ class _Node:
         self.sim.network.broadcast(self.index, msg, wire_size(msg))
 
     def _set_timer(self, delay: float, callback) -> None:
-        self.sim.scheduler.schedule(delay, callback, tag=f"timer:{self.index}")
+        self.sim.scheduler.schedule(delay, callback)
 
     def _build(self, height: int, round_: int, period_start: float) -> Block:
         stuck = self.mempool.stuck_head(self.sim.config.gas_limit)
@@ -132,7 +132,7 @@ class _EquivocatingNode(_Node):
     def _broadcast(self, msg: ConsensusMessage) -> None:
         if msg.type is MsgType.PRE_PREPARE:
             self.sim.note_proposal(msg)
-            others = sorted(self.sim.network.node_ids())
+            others = sorted(self.sim.nodes)
             half = len(others) // 2
             alt_block = replace(msg.block, salt=msg.block.salt + 1)
             alt = ConsensusMessage(msg.type, msg.height, msg.round,
@@ -149,6 +149,9 @@ class _EquivocatingNode(_Node):
         # withhold prepare/commit votes
 
 
+_FAULTS = {SILENT: _SilentNode, EQUIVOCATE: _EquivocatingNode}
+
+
 class Simulation:
     def __init__(self, config: ExperimentConfig, workload: list):
         self.config = config
@@ -163,25 +166,22 @@ class Simulation:
         behaviors = dict(config.byzantine)
         self.nodes: dict[int, _Node] = {}
         for i in range(config.validators):
-            kind = behaviors.get(i)
-            if kind == SILENT:
-                node = _SilentNode(self, i)
-            elif kind == EQUIVOCATE:
-                node = _EquivocatingNode(self, i)
-            else:
-                node = _Node(self, i)
+            node = _FAULTS.get(behaviors.get(i), _Node)(self, i)
             self.nodes[i] = node
             self.network.add_node(i, node.deliver)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
+        # the replica whose commits and receipts the metrics report
+        self.reference = self.honest[0] if self.honest else 0
 
         # bookkeeping
         # height -> (highest proposed round, first broadcast of that round)
         self._proposal_times: dict[int, tuple[int, float]] = {}
-        self._commit_counts: dict[int, int] = {}
         self._tx_records: dict[int, tuple] = {}
         self._receipts: dict[int, object] = {}
         self._commit_latencies: list = []
-        self._block_by_height: dict[int, Block] = {}
+        # period a committed block was proposed for -> its size, its latency
+        self._size_by_period: dict[int, int] = {}
+        self._lc_by_period: dict[int, float] = {}
         self._stuck: list = []
         self._periods_elapsed = 0
 
@@ -193,29 +193,27 @@ class Simulation:
             self._proposal_times[msg.height] = (msg.round, self.scheduler.now)
 
     def note_commit(self, index: int, block: Block, now: float) -> None:
-        self._commit_counts[index] = self._commit_counts.get(index, 0) + 1
-        if index != self._reference_validator():
+        if index != self.reference:
             return
-        height = block.height
-        self._block_by_height[height] = block
+        p = int(round(block.timestamp / self.config.period))
+        self._size_by_period[p] = block_size(block)
         # measure from the most recent proposal for this height (the
         # committing round's broadcast time)
-        proposed = self._proposal_times.get(height)
+        proposed = self._proposal_times.get(block.height)
         if proposed is not None:
-            self._commit_latencies.append((height, now - proposed[1]))
+            latency = now - proposed[1]
+            self._commit_latencies.append((block.height, latency))
+            self._lc_by_period[p] = latency
         for tx in block.transactions:
             self._tx_records.setdefault(tx.uid, (tx.issue_time, block.timestamp))
 
     def note_receipt(self, index: int, receipt) -> None:
-        if index == self._reference_validator():
+        if index == self.reference:
             self._receipts.setdefault(receipt.tx_uid, receipt)
 
     def note_stuck(self, tx: Transaction) -> None:
         if tx.uid not in self._stuck:
             self._stuck.append(tx.uid)
-
-    def _reference_validator(self) -> int:
-        return self.honest[0] if self.honest else 0
 
     # driving -----------------------------------------------------------
 
@@ -224,8 +222,7 @@ class Simulation:
         for tx in self.workload:
             self.scheduler.schedule_at(
                 tx.issue_time,
-                lambda t=tx: self.network.inject(t, t.size),
-                tag=f"issue:{tx.uid}")
+                lambda t=tx: self.network.inject(t, t.size))
 
         period = 0          # index of the period whose block is next due
         boundary = cfg.period
@@ -235,7 +232,8 @@ class Simulation:
             self._periods_elapsed = period + 1
             if period + 1 >= max_periods:
                 break
-            if period + 1 >= cfg.periods and self._drained():
+            if period + 1 >= cfg.periods \
+                    and len(self.nodes[self.reference].mempool) == 0:
                 break
             # start the next height on every idle validator; a validator
             # still mid-consensus skips this boundary (round changes run on)
@@ -249,12 +247,6 @@ class Simulation:
         # settle in-flight consensus messages
         self.scheduler.run_until(boundary + cfg.period)
         return self._result()
-
-    def _drained(self) -> bool:
-        if not self.config.drain:
-            return True
-        ref = self.nodes[self._reference_validator()]
-        return len(ref.mempool) == 0
 
     # metrics -----------------------------------------------------------
 
@@ -272,35 +264,21 @@ class Simulation:
             p = min(int(issue_time // T), periods - 1)
             lb_by_period[p].append(lb)
 
-        size_by_period = {}
-        lc_by_period = {}
-        chain_size_series = [blk.GENESIS_SIZE] * periods
-        for height in sorted(self._block_by_height):
-            block = self._block_by_height[height]
-            p = int(round(block.timestamp / T))
-            size_by_period[p] = block_size(block)
-        for height, lat in self._commit_latencies:
-            block = self._block_by_height.get(height)
-            if block is not None:
-                p = int(round(block.timestamp / T))
-                lc_by_period[p] = lat
-        running = blk.GENESIS_SIZE
-        for p in range(periods):
-            running += size_by_period.get(p, 0)
-            chain_size_series[p] = running
-
         rows = []
+        chain_size = blk.GENESIS_SIZE
         depth_series = self._mempool_depth_series(periods)
         for p in range(periods):
             lbs = lb_by_period[p]
+            size = self._size_by_period.get(p, 0)
+            chain_size += size
             rows.append(MetricsRow(
                 period_index=p,
                 gas_rate=gas_by_period[p],
                 mean_lb=sum(lbs) / len(lbs) if lbs else math.nan,
                 max_lb=max(lbs) if lbs else math.nan,
-                mean_lc=lc_by_period.get(p, math.nan),
-                committed_block_size=size_by_period.get(p, 0),
-                chain_size_bytes=chain_size_series[p],
+                mean_lc=self._lc_by_period.get(p, math.nan),
+                committed_block_size=size,
+                chain_size_bytes=chain_size,
                 mempool_depth=depth_series[p]))
 
         digests = {i: self.nodes[i].validator.head_digest.hex()

@@ -1,4 +1,4 @@
-"""Synthetic workload generation for simulations and analytics.
+"""Synthetic workload generation for simulations.
 
 Issue times are uniform within each block period (with a small end-of-
 period margin so transactions can reach every mempool before the period
@@ -9,10 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import analytics
-from .analytics import annual_multiset  # re-exported beside annual_workload
-from .ledger import (Address, EvidenceId, TRANSFER_GAS, Transaction,
-                     create_tx, remove_tx, transfer_tx)
+# annual_multiset is re-exported: tests import it from here
+from .analytics import annual_multiset
+from .ledger import Address, EvidenceId, TRANSFER_GAS, transfer_tx
 
 
 class InvalidSpec(Exception):
@@ -91,28 +90,3 @@ def ramp_workload(spec: RampSpec, seed: int, period: float,
         counts.append(int(target // TRANSFER_GAS))
     return _transfer_workload(counts, seed, period, margin)
 
-
-def annual_workload(n: int, seed: int, period: float,
-                    duration: float = analytics.YEAR_SECONDS,
-                    margin: float = 0.01) -> list:
-    """Timestamped transactions realizing the annual multiset."""
-    rng = random.Random(seed)
-    txs: list[Transaction] = []
-    uid = 1
-    total_periods = int(duration // period)
-
-    def issue(builder, count):
-        nonlocal uid
-        for _ in range(count):
-            p = rng.randrange(total_periods)
-            t = p * period + rng.random() * period * (1.0 - margin)
-            txs.append(builder(uid, t))
-            uid += 1
-
-    issue(lambda u, t: create_tx(u, _random_address(rng), _random_id(rng),
-                                 "x" * 1024, t), n)
-    issue(lambda u, t: remove_tx(u, _random_address(rng), _random_id(rng), t), n)
-    issue(lambda u, t: transfer_tx(u, _random_address(rng), _random_id(rng),
-                                   _random_address(rng), t), 10 * n)
-    txs.sort(key=lambda tx: (tx.issue_time, tx.uid))
-    return txs

@@ -78,6 +78,14 @@ class TestLatencyGasBound:
         # 174-byte transfers: 43 fit, so any G below 44 transfers' gas does
         assert latency_gas_bound(0.01, ChainParams()) == 44 * 80502 - 1
 
+    def test_target_below_the_empty_block_is_rejected(self, catalog):
+        params = ChainParams()
+        floor = consensus_latency(max_block_size_closed_form(0, catalog),
+                                  params)
+        assert latency_gas_bound(floor, params) == TRANSFER.gas - 1
+        with pytest.raises(AnalyticsError, match="below the empty block"):
+            latency_gas_bound(floor * 0.999, params)
+
 
 class TestMaxBlockSize:
     @pytest.mark.parametrize("g,expected", [

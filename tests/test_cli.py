@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 
 import pytest
 
@@ -195,6 +196,8 @@ class TestAnalyze:
         ["ukp-check", "--samples", "3", "--max-gas", "200000000"],
         ["plan-gas-limit", "--max-gas-rate", "1", "--avg-gas-rate", "5",
          "--upper-bound", "3"],
+        ["plan-gas-limit", "--max-gas-rate", "500000", "--avg-gas-rate",
+         "200000", "--max-consensus-latency", "0.001"],
     ])
     def test_bad_flag_values_exit_2(self, argv, capsys):
         code, _, err = _run(capsys, "analyze", *argv)
@@ -258,6 +261,25 @@ class TestLedgerWorkflow:
                             "ab" * 32)
         assert code == 1
         assert "StoreError" in err and "line 1" in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40],
+        lambda text: json.dumps({**json.loads(text), "clock": "x"}),
+    ], ids=["truncated", "clock-not-a-number"])
+    def test_malformed_ledger_file_exits_1(self, damage, tmp_path, capsys):
+        store = tmp_path / "s"
+        blob = tmp_path / "e.bin"
+        blob.write_bytes(b"x")
+        assert _run(capsys, "ledger", "--store", str(store), "create",
+                    "--file", str(blob), "--as", "alice")[0] == 0
+        ledger = store / "ledger.json"
+        assert not (store / "ledger.json.tmp").exists()
+        ledger.write_text(damage(ledger.read_text()))
+        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
+                            "ab" * 32)
+        assert code == 1
+        assert "StoreError" in err and "ledger.json" in err
+        assert "Traceback" not in err
 
     def test_hex_identity_accepted(self, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
                                    run_experiment)
 from custodysim.workload import RampSpec, RateSpec, constant_rate_workload, \
     ramp_workload
+
+from conftest import random_ops
 
 T = 300.0
 
@@ -252,6 +255,25 @@ class TestByzantine:
         wl = constant_rate_workload(RateSpec(2, 12), seed=6, period=T)
         result = run_experiment(cfg, wl)
         assert set(result.receipts) == set(result.tx_records)
+
+    def test_honest_replicas_reach_the_same_ledger(self):
+        # random_ops collides on small pools, so many transactions revert;
+        # 20 ids keep enough entries live to compare their histories
+        cfg = _cfg(periods=5, validators=7, base_delay=0.05, jitter=0.02,
+                   byzantine=((2, SILENT), (5, EQUIVOCATE)), seed=4)
+        sim = Simulation(cfg, random_ops(random.Random(4), 200, n_ids=20))
+        result = sim.run()
+        outcomes = {r.succeeded for r in result.receipts.values()}
+        assert len(result.receipts) == 200 and outcomes == {True, False}
+        ref = sim.nodes[sim.reference].ledger.evidences
+        assert ref
+        for i in result.honest:
+            ledger = sim.nodes[i].ledger.evidences
+            assert ledger.keys() == ref.keys()
+            for eid, entry in ref.items():
+                other = ledger[eid]
+                assert (other.owner, other.taddr, other.ttime) == \
+                    (entry.owner, entry.taddr, entry.ttime)
 
 
 class TestCommitLatency:

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from custodysim import analytics
-from custodysim.ledger import TRANSFER_GAS, TxKind
+from custodysim.ledger import TRANSFER_GAS
 from custodysim.workload import (InvalidSpec, RampSpec, RateSpec,
-                                 annual_multiset, annual_workload,
+                                 annual_multiset,
                                  constant_rate_workload, ramp_workload)
 
 PERIOD = 300.0
@@ -85,21 +85,3 @@ class TestAnnualMultiset:
         total = sum(t.size * c for t, c in annual_multiset(10_000))
         assert total == 31_150_000
 
-
-class TestAnnualWorkload:
-    def test_kind_counts(self):
-        txs = annual_workload(20, seed=6, period=PERIOD)
-        kinds = [tx.kind for tx in txs]
-        assert kinds.count(TxKind.CREATE) == 20
-        assert kinds.count(TxKind.REMOVE) == 20
-        assert kinds.count(TxKind.TRANSFER) == 200
-
-    def test_sorted_by_time(self):
-        txs = annual_workload(15, seed=7, period=PERIOD)
-        times = [tx.issue_time for tx in txs]
-        assert times == sorted(times)
-        assert times[-1] < analytics.YEAR_SECONDS
-
-    def test_deterministic(self):
-        assert annual_workload(10, seed=8, period=PERIOD) == \
-            annual_workload(10, seed=8, period=PERIOD)
