@@ -156,20 +156,6 @@ def _min_gas_table(items: tuple, length: int) -> np.ndarray:
     return min_gas
 
 
-def ukp_max_value_dense(capacity: int, items: Sequence[TxType]) -> int:
-    """Classic O(n*G) capacity-axis table; independent cross-check."""
-    best = [0] * (capacity + 1)
-    for w in range(1, capacity + 1):
-        b = best[w - 1]
-        for it in items:
-            if it.gas <= w:
-                cand = best[w - it.gas] + it.size
-                if cand > b:
-                    b = cand
-        best[w] = b
-    return best[capacity] if capacity >= 0 else 0
-
-
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType],
                        capacity_cap: int = 100_000_000) -> int:
     """Maximum block size via the exact knapsack solver."""

@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
-import os
 import random
 import sys
 from concurrent import futures
@@ -19,9 +17,9 @@ from . import analytics, workload
 from .analytics import MIB, AnalyticsError, standard_catalog
 from .config import (ChainParams, ConfigError, ExperimentConfig, build_config,
                      parse_byzantine, read_config_file)
-from .ledger import (Address, EvidenceId, LedgerError, LedgerState)
+from .ledger import Address, EvidenceId, LedgerError
 from .simulation import run_experiment
-from .store import (EvidenceStore, Frontend, LocalLedgerClient, StoreError)
+from .store import StoreError, open_custody
 
 METRICS_COLUMNS = ("period_index", "gas_rate", "mean_lb", "max_lb", "mean_lc",
                    "committed_block_size", "chain_size_bytes", "mempool_depth")
@@ -151,6 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("id")
     d.add_argument("--as", dest="identity", required=True)
     d.set_defaults(func=cmd_ledger_remove)
+
+    v = led_sub.add_parser("verify", help="re-hash every blob and cross-check "
+                                          "store and ledger; exit 1 on a problem")
+    v.set_defaults(func=cmd_ledger_verify)
 
     return parser
 
@@ -341,55 +343,6 @@ def cmd_analyze_ukp(args) -> int:
 # -- ledger commands ---------------------------------------------------
 
 
-def _ledger_context(store_root: Path):
-    store = EvidenceStore(store_root)
-    state_path = store_root / "ledger.json"
-    client = LocalLedgerClient()
-    if state_path.exists():
-        _load_ledger(client, state_path)
-    frontend = Frontend(store, client, seed=random.SystemRandom().getrandbits(32))
-    return store, client, frontend, state_path
-
-
-def _load_ledger(client: LocalLedgerClient, path: Path) -> None:
-    try:
-        data = json.loads(path.read_text())
-        client._time = float(data["clock"])
-        client._uid = int(data["uid"])
-        state = LedgerState()
-        for raw in data["entries"]:
-            eid = EvidenceId.from_hex(raw["id"])
-            state.create_evidence(Address.from_hex(raw["creator"]), eid,
-                                  raw["description"], raw["ttime"][0])
-            entry = state.evidences[eid]
-            entry.owner = Address.from_hex(raw["owner"])
-            entry.taddr = [Address.from_hex(a) for a in raw["taddr"]]
-            entry.ttime = list(raw["ttime"])
-    except (ValueError, KeyError, IndexError, TypeError) as err:
-        # ValueError covers JSON, hex and UTF-8 decoding errors
-        raise StoreError(f"{path} is malformed: {err}") from err
-    client.state = state
-
-
-def _save_ledger(client: LocalLedgerClient, path: Path) -> None:
-    entries = []
-    for entry in client.state.evidences.values():
-        entries.append({
-            "id": entry.id.hex,
-            "creator": entry.creator.hex,
-            "owner": entry.owner.hex,
-            "description": entry.description,
-            "taddr": [a.hex for a in entry.taddr],
-            "ttime": entry.ttime,
-        })
-    # write aside, then rename: a crash mid-write leaves the old file whole
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(
-        {"clock": client.now(), "uid": client._uid, "entries": entries},
-        indent=2, sort_keys=True))
-    os.replace(tmp, path)
-
-
 def _identity(label: str) -> Address:
     if len(label) == 40:
         try:
@@ -400,37 +353,34 @@ def _identity(label: str) -> Address:
 
 
 def cmd_ledger_create(args) -> int:
-    _, client, frontend, state_path = _ledger_context(args.store)
     blob = args.file.read_bytes()
-    evidence_id = frontend.submit_evidence(_identity(args.identity), blob,
-                                           args.desc)
-    _save_ledger(client, state_path)
+    with open_custody(args.store) as frontend:
+        evidence_id = frontend.submit_evidence(_identity(args.identity), blob,
+                                               args.desc)
     print(evidence_id.hex)
     return 0
 
 
 def cmd_ledger_transfer(args) -> int:
-    _, client, frontend, state_path = _ledger_context(args.store)
-    frontend.transfer_evidence(_identity(args.identity),
-                               EvidenceId.from_hex(args.id),
-                               _identity(args.to))
-    _save_ledger(client, state_path)
+    with open_custody(args.store) as frontend:
+        frontend.transfer_evidence(_identity(args.identity),
+                                   EvidenceId.from_hex(args.id),
+                                   _identity(args.to))
     print("transferred")
     return 0
 
 
 def cmd_ledger_remove(args) -> int:
-    _, client, frontend, state_path = _ledger_context(args.store)
-    frontend.discard_evidence(_identity(args.identity),
-                              EvidenceId.from_hex(args.id))
-    _save_ledger(client, state_path)
+    with open_custody(args.store) as frontend:
+        frontend.discard_evidence(_identity(args.identity),
+                                  EvidenceId.from_hex(args.id))
     print("removed")
     return 0
 
 
 def cmd_ledger_show(args) -> int:
-    _, client, _, _ = _ledger_context(args.store)
-    entry = client.get_entry(EvidenceId.from_hex(args.id))
+    with open_custody(args.store) as frontend:
+        entry = frontend.client.get_entry(EvidenceId.from_hex(args.id))
     print(f"id:          {entry.id.hex}")
     print(f"description: {entry.description}")
     print(f"creator:     {entry.creator.hex}")
@@ -442,15 +392,23 @@ def cmd_ledger_show(args) -> int:
 
 
 def cmd_ledger_acquire(args) -> int:
-    _, _, frontend, _ = _ledger_context(args.store)
-    blob = frontend.acquire_evidence(_identity(args.identity),
-                                     EvidenceId.from_hex(args.id))
+    with open_custody(args.store) as frontend:
+        blob = frontend.acquire_evidence(_identity(args.identity),
+                                         EvidenceId.from_hex(args.id))
     if args.out:
         args.out.write_bytes(blob)
         print(f"wrote {len(blob)} bytes to {args.out}")
     else:
         sys.stdout.buffer.write(blob)
     return 0
+
+
+def cmd_ledger_verify(args) -> int:
+    with open_custody(args.store) as frontend:
+        problems = frontend.verify()
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
 
 
 def main(argv=None) -> int:

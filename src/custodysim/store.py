@@ -4,25 +4,44 @@ Blobs live as id-named files next to a tab-separated index. Ids are the
 hash of blob plus nonce, so every acquisition can re-verify that the
 bytes on disk still match what was registered on the ledger.
 
-The index is an append-only journal, one line per operation:
+The index and the ledger are append-only journals, one line per
+operation, and both are read by ``_replay``. In ``index.tsv``,
 ``<hex id>\t<nonce>\t<size>`` records a put and ``-\t<hex id>`` a
-delete. Opening the store replays it in file order. A last line without
-its trailing newline is a torn append and is dropped. If the replay met
-a delete or a torn line, the live entries are written to a temporary
-file that is renamed over the index; that compaction on open is the only
-time the whole index is written.
+delete; after a delete, opening the store compacts the index through a
+temporary file and a rename, the only time the whole index is written.
+``ledger.jsonl`` holds one JSON object per committed transaction, and
+opening the ledger applies them again through ``LedgerState.apply``. A
+last line without its trailing newline is a torn append: it is dropped
+and cut off the file, so the next append starts a line of its own. Any
+other line that does not parse, or a transaction that reverts on
+replay, is a ``StoreError`` naming the file and the line.
+
+``open_custody`` opens a store directory for one command and holds an
+exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. A
+create writes its blob, then its index line, then its ledger line; a
+discard writes its ledger line first. So a store entry or blob file that
+the ledger does not name is a create or discard cut short, and opening
+deletes it. A ``ledger.json`` that older versions rewrote whole on every
+command is converted to the journal once, under the lock.
 """
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
+import json
 import os
 import random
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterator, Optional
 
 from .ledger import (_REASON_BY_ERROR, Address, EvidenceEntry, EvidenceId,
                      EvidenceNotFound, LedgerError, LedgerState, NotOwner,
-                     Receipt, Transaction, create_tx, remove_tx, transfer_tx)
+                     Receipt, Transaction, TxKind, create_tx, remove_tx,
+                     transfer_tx)
+
+LEDGER = "ledger.jsonl"
 
 
 class StoreError(Exception):
@@ -58,6 +77,39 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _replay(path: Path, apply: Callable[[str], None]) -> int:
+    """Pass each whole line of the journal at path to apply; count them.
+
+    A line that apply rejects is a StoreError naming the path and line.
+    """
+    if not path.exists():
+        return 0
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        os.truncate(path, end)
+    lines = data[:end].split(b"\n")[:-1]
+    for number, line in enumerate(lines, 1):
+        try:
+            apply(line.decode("ascii"))
+        except (ValueError, KeyError, TypeError, LedgerError) as err:
+            # ValueError covers UnicodeDecodeError and bad JSON too
+            raise StoreError(f"{path}: line {number} is malformed "
+                             f"({type(err).__name__}: {err}): {line!r}") from err
+    return len(lines)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {value!r}")
+    return value
+
+
+def _append_line(path: Path, line: str) -> None:
+    with open(path, "a") as journal:
+        journal.write(line + "\n")
+
+
 class EvidenceStore:
     """Flat-file store: <root>/<hex id>.bin plus <root>/index.tsv.
 
@@ -67,7 +119,7 @@ class EvidenceStore:
     ``delete`` removes the blob after its line, so a crash between the
     two leaves at worst a blob file the index does not name, never an
     index entry without its blob. Opening a store compacts the journal
-    when it holds a delete or a torn last line.
+    when it holds a delete.
     """
 
     INDEX = "index.tsv"
@@ -75,52 +127,38 @@ class EvidenceStore:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.index_path = self.root / self.INDEX
         self._index: dict[EvidenceId, tuple[int, int]] = {}  # id -> (nonce, size)
         self._load_index()
 
-    def _index_path(self) -> Path:
-        return self.root / self.INDEX
-
     def _load_index(self) -> None:
-        path = self._index_path()
-        if not path.exists():
-            return
-        lines = path.read_bytes().split(b"\n")
-        # empty when the file ends with a newline, else a torn append
-        compact = lines.pop() != b""
-        for number, line in enumerate(lines, 1):
-            try:
-                fields = line.decode("ascii").split("\t")
-                if len(fields) == 2 and fields[0] == "-":
-                    del self._index[EvidenceId.from_hex(fields[1])]
-                    compact = True
-                elif len(fields) == 3:
-                    self._index[EvidenceId.from_hex(fields[0])] = (
-                        int(fields[1]), int(fields[2]))
-                else:
-                    raise ValueError("expected 3 fields, or 2 after '-'")
-            except (ValueError, KeyError) as err:  # UnicodeDecodeError too
-                raise StoreError(
-                    f"{path}: line {number} is malformed: {line!r}") from err
-        if compact:
+        lines = _replay(self.index_path, self._replay_line)
+        # each put adds a line and an entry, each delete a line and no entry
+        if lines != len(self._index):
             self._compact()
+
+    def _replay_line(self, line: str) -> None:
+        fields = line.split("\t")
+        if len(fields) == 2 and fields[0] == "-":
+            del self._index[EvidenceId.from_hex(fields[1])]
+        elif len(fields) == 3:
+            self._index[EvidenceId.from_hex(fields[0])] = (
+                int(fields[1]), int(fields[2]))
+        else:
+            raise ValueError("expected 3 fields, or 2 after '-'")
 
     def _compact(self) -> None:
         """Atomically replace the journal with one put line per live entry."""
         tmp = self.root / (self.INDEX + ".tmp")
         tmp.write_text("".join(f"{eid.hex}\t{nonce}\t{size}\n"
                                for eid, (nonce, size) in self._index.items()))
-        os.replace(tmp, self._index_path())
-
-    def _append(self, line: str) -> None:
-        with open(self._index_path(), "a") as index:
-            index.write(line + "\n")
+        os.replace(tmp, self.index_path)
 
     def put(self, evidence_id: EvidenceId, nonce: int, blob: bytes) -> None:
         if evidence_id in self._index:
             raise IdCollision(evidence_id.hex)
         (self.root / f"{evidence_id.hex}.bin").write_bytes(blob)
-        self._append(f"{evidence_id.hex}\t{nonce}\t{len(blob)}")
+        _append_line(self.index_path, f"{evidence_id.hex}\t{nonce}\t{len(blob)}")
         self._index[evidence_id] = (nonce, len(blob))
 
     def get(self, evidence_id: EvidenceId) -> tuple[bytes, int]:
@@ -134,7 +172,7 @@ class EvidenceStore:
     def delete(self, evidence_id: EvidenceId) -> None:
         if evidence_id not in self._index:
             raise EvidenceNotFound(evidence_id.hex)
-        self._append(f"-\t{evidence_id.hex}")
+        _append_line(self.index_path, f"-\t{evidence_id.hex}")
         del self._index[evidence_id]
         (self.root / f"{evidence_id.hex}.bin").unlink(missing_ok=True)
 
@@ -145,31 +183,59 @@ class EvidenceStore:
         return sorted(self._index)
 
 
-class LedgerClient(Protocol):
-    """Gateway to the custody ledger; submit blocks until commitment."""
-
-    def submit(self, tx: Transaction) -> Receipt: ...
-
-    def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry: ...
-
-    def evidence_ids(self) -> list[EvidenceId]: ...
-
-    def next_uid(self) -> int: ...
-
-    def now(self) -> float: ...
-
-
 class LocalLedgerClient:
-    """Synchronous single-node client: every submit commits immediately."""
+    """Synchronous single-node client: every submit commits immediately.
 
-    def __init__(self, state: Optional[LedgerState] = None, start_time: float = 0.0):
-        self.state = state if state is not None else LedgerState()
-        self._time = start_time
+    Given a journal path, the client first replays the journal and then
+    appends one line per transaction that commits.
+    """
+
+    def __init__(self, journal: Optional[Path] = None):
+        self.journal = journal
+        self._load()
+
+    def _load(self) -> None:
+        self.state = LedgerState()
+        self._time = 0.0
         self._uid = 0
+        if self.journal is not None:
+            _replay(self.journal, self._replay_line)
+
+    def _replay_line(self, line: str) -> None:
+        record = json.loads(line)
+        kind, time = TxKind(record["kind"]), float(record["time"])
+        head = (int(record["uid"]), Address.from_hex(record["issuer"]),
+                EvidenceId.from_hex(record["id"]))
+        if kind is TxKind.CREATE:
+            tx = create_tx(*head, _text(record["description"]), time)
+        elif kind is TxKind.TRANSFER:
+            tx = transfer_tx(*head, Address.from_hex(record["new_owner"]), time)
+        else:
+            tx = remove_tx(*head, time)
+        receipt = self.state.apply(tx, time)
+        if not receipt.succeeded:
+            raise _revert_error(receipt)
+        self._time, self._uid = time, tx.uid
 
     def submit(self, tx: Transaction) -> Receipt:
-        self._time += 1.0
-        return self.state.apply(tx, self._time)
+        return self._commit(tx, self._time + 1.0)
+
+    def _commit(self, tx: Transaction, time: float) -> Receipt:
+        self._time = time
+        receipt = self.state.apply(tx, time)
+        if receipt.succeeded and self.journal is not None:
+            record = {"uid": tx.uid, "time": time, "kind": tx.kind.value,
+                      "issuer": tx.issuer.hex, "id": tx.evidence_id.hex}
+            if tx.kind is TxKind.CREATE:
+                record["description"] = tx.description
+            elif tx.kind is TxKind.TRANSFER:
+                record["new_owner"] = tx.new_owner.hex
+            try:
+                _append_line(self.journal, json.dumps(record))
+            except BaseException:
+                self._load()  # memory must hold what the journal holds
+                raise
+        return receipt
 
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry:
         return self.state.get_evidence(evidence_id)
@@ -203,7 +269,7 @@ class Frontend:
 
     MAX_NONCE_RETRIES = 8
 
-    def __init__(self, store: EvidenceStore, client: LedgerClient,
+    def __init__(self, store: EvidenceStore, client: LocalLedgerClient,
                  seed: int = 0, hash_func: Callable[[bytes], bytes] = None):
         self.store = store
         self.client = client
@@ -235,6 +301,9 @@ class Frontend:
         entry = self.client.get_entry(evidence_id)  # raises EvidenceNotFound
         if requester != entry.owner:
             raise NotOwner(f"{requester.hex} is not the current owner")
+        return self._verified_blob(evidence_id)
+
+    def _verified_blob(self, evidence_id: EvidenceId) -> bytes:
         blob, nonce = self.store.get(evidence_id)
         if generate_id(blob, nonce, self.hash_func) != evidence_id:
             raise IntegrityViolation(
@@ -263,3 +332,84 @@ class Frontend:
     def check_referential_integrity(self) -> bool:
         """Every stored id has a ledger entry and vice versa."""
         return set(self.store.ids()) == set(self.client.evidence_ids())
+
+    def verify(self) -> list[str]:
+        """One line per problem: a blob that cannot be read or no longer
+        hashes to its id, or an id that only one of store and ledger holds."""
+        problems = []
+        for evidence_id in self.store.ids():
+            try:
+                self._verified_blob(evidence_id)
+            except (IntegrityViolation, OSError) as err:
+                problems.append(str(err))
+        stored, listed = set(self.store.ids()), set(self.client.evidence_ids())
+        problems += [f"{eid.hex} is in the store but not on the ledger"
+                     for eid in sorted(stored - listed)]
+        problems += [f"{eid.hex} is on the ledger but not in the store"
+                     for eid in sorted(listed - stored)]
+        return problems
+
+
+@contextlib.contextmanager
+def open_custody(root: Path) -> Iterator[Frontend]:
+    """Yield a Frontend over the store at root and its journaled ledger.
+
+    The lock, the conversion of a ledger.json and the clean-up on open
+    are described in the module docstring.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    with open(root / "lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        store = EvidenceStore(root)
+        legacy = root / "ledger.json"
+        if legacy.exists():
+            # a journal beside it is a conversion cut short: start again
+            (root / LEDGER).unlink(missing_ok=True)
+        client = LocalLedgerClient(root / LEDGER)
+        if legacy.exists():
+            _convert_json_ledger(legacy, client)
+            legacy.unlink()
+        frontend = Frontend(store, client,
+                            seed=random.SystemRandom().getrandbits(32))
+        _reconcile(store, client)
+        yield frontend
+
+
+def _convert_json_ledger(path: Path, client: LocalLedgerClient) -> None:
+    """Commit each entry of a whole-ledger JSON file as its create and
+    transfers, in ledger-time order, at their recorded times."""
+    try:
+        txs = []
+        for raw in json.loads(path.read_text())["entries"]:
+            eid = EvidenceId.from_hex(raw["id"])
+            taddr = [Address.from_hex(a) for a in raw["taddr"]]
+            ttime = [float(t) for t in raw["ttime"]]
+            if (len(taddr) != len(ttime) or taddr[0].hex != raw["creator"]
+                    or taddr[-1].hex != raw["owner"]):
+                raise ValueError(f"history of {eid.hex} does not match "
+                                 "its creator and owner")
+            txs.append(create_tx(0, taddr[0], eid, _text(raw["description"]),
+                                 ttime[0]))
+            txs += [transfer_tx(0, taddr[i - 1], eid, taddr[i], ttime[i])
+                    for i in range(1, len(taddr))]
+    except (ValueError, KeyError, IndexError, TypeError, LedgerError) as err:
+        # ValueError covers JSON, hex and UTF-8 decoding errors
+        raise StoreError(f"{path} is malformed: {err}") from err
+    for tx in sorted(txs, key=lambda tx: tx.issue_time):
+        receipt = client._commit(replace(tx, uid=client.next_uid()),
+                                 tx.issue_time)
+        if not receipt.succeeded:
+            raise StoreError(f"{path} is malformed: {tx.kind.value} of "
+                             f"{tx.evidence_id.hex} reverts: "
+                             f"{receipt.reason.value}")
+
+
+def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:
+    """Delete every store entry and blob file that the ledger does not name."""
+    for evidence_id in set(store.ids()) - set(client.evidence_ids()):
+        store.delete(evidence_id)
+    named = {f"{evidence_id.hex}.bin" for evidence_id in store.ids()}
+    for path in store.root.glob("*.bin"):
+        if path.name not in named:
+            path.unlink()

@@ -18,9 +18,9 @@ from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
                                   latency_gas_bound,
                                   max_block_size_closed_form,
                                   max_block_size_ukp, plan_gas_limit,
-                                  standard_catalog, ukp_max_value,
-                                  ukp_max_value_dense)
+                                  standard_catalog, ukp_max_value)
 from custodysim.ledger import Address, EvidenceId, transfer_tx
+from naive_knapsack import ukp_max_value_dense
 
 
 @pytest.fixture(scope="module")

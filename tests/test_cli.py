@@ -1,11 +1,22 @@
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import custodysim
 from custodysim.cli import METRICS_COLUMNS, main
 from custodysim.config import _FIELD_PARSERS, ExperimentConfig
+from custodysim.store import EvidenceStore, open_custody
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(capsys, *argv):
@@ -263,22 +274,30 @@ class TestLedgerWorkflow:
         assert "StoreError" in err and "line 1" in err
 
     @pytest.mark.parametrize("damage", [
-        lambda text: text[:40],
-        lambda text: json.dumps({**json.loads(text), "clock": "x"}),
-    ], ids=["truncated", "clock-not-a-number"])
+        lambda line: line[:40],
+        lambda line: json.dumps({**json.loads(line), "time": "x"}),
+        lambda line: json.dumps({**json.loads(line), "issuer": "cc" * 20}),
+    ], ids=["truncated", "clock-not-a-number", "transfer-by-non-owner"])
     def test_malformed_ledger_file_exits_1(self, damage, tmp_path, capsys):
         store = tmp_path / "s"
         blob = tmp_path / "e.bin"
         blob.write_bytes(b"x")
-        assert _run(capsys, "ledger", "--store", str(store), "create",
-                    "--file", str(blob), "--as", "alice")[0] == 0
-        ledger = store / "ledger.json"
-        assert not (store / "ledger.json.tmp").exists()
-        ledger.write_text(damage(ledger.read_text()))
-        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
-                            "ab" * 32)
+        argv = ("ledger", "--store", str(store))
+        code, out, _ = _run(capsys, *argv, "create", "--file", str(blob),
+                            "--as", "alice")
+        assert code == 0
+        assert _run(capsys, *argv, "transfer", out.strip(), "--to", "bob",
+                    "--as", "alice")[0] == 0
+        assert _run(capsys, *argv, "create", "--file", str(blob),
+                    "--as", "alice")[0] == 0
+        ledger = store / "ledger.jsonl"
+        lines = ledger.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        lines[1] = damage(lines[1].rstrip("\n")) + "\n"
+        ledger.write_text("".join(lines))
+        code, _, err = _run(capsys, *argv, "show", "ab" * 32)
         assert code == 1
-        assert "StoreError" in err and "ledger.json" in err
+        assert "StoreError" in err and "ledger.jsonl: line 2" in err
         assert "Traceback" not in err
 
     def test_hex_identity_accepted(self, tmp_path, capsys):
@@ -291,3 +310,176 @@ class TestLedgerWorkflow:
         _, show, _ = _run(capsys, "ledger", "--store", store, "show",
                           out.strip())
         assert "ab" * 20 in show
+
+
+class Crash(Exception):
+    """Stands for the process dying at a write step."""
+
+
+def _crash_at(step):
+    """Patches that raise Crash in place of the step-th file write.
+
+    The writes counted are the ones a custody command makes: a blob
+    written or deleted, a file opened through the store module's open
+    (the lock and each journal append), and a file written aside and
+    renamed over another.
+    """
+    count = 0
+
+    def hook(real):
+        def write(*args, **kwargs):
+            nonlocal count
+            count += 1
+            if count == step:
+                raise Crash(step)
+            return real(*args, **kwargs)
+        return write
+
+    return [mock.patch.object(Path, name, hook(getattr(Path, name)))
+            for name in ("write_bytes", "write_text", "unlink")] + [
+        mock.patch.object(os, "replace", hook(os.replace)),
+        mock.patch("custodysim.store.open", hook(open), create=True)]
+
+
+_CREATE_LOOP = """
+import sys
+from custodysim.cli import main
+store, blob, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+codes = [main(["ledger", "--store", store, "create", "--file", blob,
+               "--as", "alice"]) for _ in range(n)]
+sys.exit(max(codes))
+"""
+
+
+class TestLedgerStore:
+    """Crash safety, concurrency, format conversion and `ledger verify`."""
+
+    @staticmethod
+    def _create(capsys, store, blob, who="alice"):
+        code, out, _ = _run(capsys, "ledger", "--store", str(store), "create",
+                            "--file", str(blob), "--as", who)
+        assert code == 0
+        return out.strip()
+
+    def test_two_processes_lose_no_create(self, tmp_path, capsys):
+        store, blob, n = tmp_path / "s", tmp_path / "e.bin", 15
+        blob.write_bytes(b"shared evidence")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(custodysim.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _CREATE_LOOP, str(store), str(blob), str(n)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+            for _ in range(2)]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outputs
+        ids = [line for out, _ in outputs for line in out.split()]
+        assert len(set(ids)) == 2 * n
+        assert len(list(store.glob("*.bin"))) == 2 * n
+        for eid in ids:
+            assert _run(capsys, "ledger", "--store", str(store), "show",
+                        eid)[0] == 0
+        with open_custody(store) as frontend:
+            assert len(frontend.client.evidence_ids()) == 2 * n
+            assert frontend.check_referential_integrity()
+
+    @pytest.mark.parametrize("step", range(1, 7))
+    @pytest.mark.parametrize("op", ["create", "transfer", "discard"])
+    def test_crash_at_each_write_step(self, op, step, tmp_path, capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"first")
+        kept = self._create(capsys, store, blob)
+        blob.write_bytes(b"second")
+        argv = {"create": ["create", "--file", str(blob)],
+                "transfer": ["transfer", kept, "--to", "bob"],
+                "discard": ["discard", kept]}[op]
+        with contextlib.ExitStack() as patches:
+            for patch in _crash_at(step):
+                patches.enter_context(patch)
+            try:
+                main(["ledger", "--store", str(store), *argv, "--as", "alice"])
+            except Crash:
+                pass
+        capsys.readouterr()
+        ids = {path.stem for path in store.glob("*.bin")}
+        ids |= {eid.hex for eid in EvidenceStore(store).ids()} | {kept}
+        for eid in sorted(ids):
+            on_ledger = _run(capsys, "ledger", "--store", str(store), "show",
+                             eid)[0] == 0
+            in_store = {e.hex for e in EvidenceStore(store).ids()}
+            assert on_ledger == (eid in in_store) == \
+                (store / f"{eid}.bin").exists()
+
+    def test_json_ledger_store_converts(self, tmp_path, capsys):
+        fixture = DATA / "json-ledger-store"
+        store = tmp_path / "store"
+        shutil.copytree(fixture / "store", store)
+        orphan = store / ("4233d2ea47f3d261fbda1762bc430f6dbc92440f"
+                          "5a11eb9540781feb0fafe325.bin")
+        assert orphan.exists()
+        shows = {}
+        for name in ("a", "c"):
+            text = (fixture / f"show-{name}.txt").read_text()
+            shows[text.split()[1]] = text
+        for _ in range(2):  # converted by the first show, replayed after
+            for eid, text in shows.items():
+                code, out, _ = _run(capsys, "ledger", "--store", str(store),
+                                    "show", eid)
+                assert code == 0 and out == text
+        assert not (store / "ledger.json").exists()
+        # two creates and three transfers; the discarded entry is gone
+        assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
+        assert not orphan.exists()
+        assert _run(capsys, "ledger", "--store", str(store), "verify") \
+            == (0, "", "")
+
+    def test_conversion_cut_short_starts_again(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(DATA / "json-ledger-store" / "store", store)
+        (store / "ledger.jsonl").write_text('{"uid": 1, "ti')
+        eid = (DATA / "json-ledger-store" / "show-c.txt").read_text().split()[1]
+        assert _run(capsys, "ledger", "--store", str(store), "show", eid)[0] == 0
+        assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40],
+        lambda text: text.replace('[\n        5.0', '[\n        9.0'),
+        lambda text: text.replace('"description": "t',
+                                  '"description": ["t"], "x": "'),
+    ], ids=["truncated", "create-after-transfer", "description-not-a-string"])
+    def test_malformed_json_ledger_exits_1_and_keeps_blobs(self, damage,
+                                                           tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(DATA / "json-ledger-store" / "store", store)
+        legacy = store / "ledger.json"
+        legacy.write_text(damage(legacy.read_text()))
+        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
+                            "ab" * 32)
+        assert code == 1
+        assert "StoreError" in err and "ledger.json is malformed" in err
+        assert "Traceback" not in err
+        assert legacy.exists() and len(list(store.glob("*.bin"))) == 3
+
+    @pytest.mark.parametrize("damage", ["tamper", "lose-file", "lose-entry"])
+    def test_verify_reports_each_problem(self, damage, tmp_path, capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"kept")
+        self._create(capsys, store, blob)
+        blob.write_bytes(b"damaged")
+        eid = self._create(capsys, store, blob)
+        assert _run(capsys, "ledger", "--store", str(store), "verify") \
+            == (0, "", "")
+        if damage == "tamper":
+            (store / f"{eid}.bin").write_bytes(b"doctored")
+            expected = "no longer match their id"
+        elif damage == "lose-file":
+            (store / f"{eid}.bin").unlink()
+            expected = "No such file"
+        else:
+            with open(store / "index.tsv", "a") as index:
+                index.write(f"-\t{eid}\n")
+            expected = "is on the ledger but not in the store"
+        code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert eid in out and expected in out

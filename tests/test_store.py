@@ -1,15 +1,24 @@
+import contextlib
 import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
+                                 multiple, rule)
 
-from custodysim.ledger import (Address, EvidenceAlreadyExists, EvidenceId,
-                               EvidenceNotFound, NotCreator, NotOwner)
+from custodysim import store as store_module
+from custodysim.ledger import (_REASON_BY_ERROR, Address,
+                               EvidenceAlreadyExists, EvidenceId,
+                               EvidenceNotFound, LedgerError, NotCreator,
+                               NotOwner, create_tx, remove_tx, transfer_tx)
 from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
-                              LocalLedgerClient, StoreError, generate_id)
+                              LocalLedgerClient, StoreError, generate_id,
+                              open_custody)
+from naive_ledger import NaiveLedger
 
 ALICE = Address.from_label("alice")
 BOB = Address.from_label("bob")
@@ -329,3 +338,215 @@ class TestTransferAndDiscard:
         frontend.client.state.create_evidence(
             BOB, generate_id(b"elsewhere", 0), "no blob here", 0.0)
         assert not frontend.check_referential_integrity()
+
+
+def _snapshot(client):
+    """The ledger in NaiveLedger.snapshot's form."""
+    return sorted(
+        (e.id.value, e.creator.value, e.owner.value, e.description,
+         tuple(a.value for a in e.taddr), tuple(e.ttime))
+        for e in client.state.evidences.values())
+
+
+class TestLedgerJournal:
+    def test_round_trip_and_torn_last_line(self, tmp_path):
+        description = "tab\there\nnew line, t\u00e9l\u00e9phone \u2116 7"
+        with open_custody(tmp_path) as frontend:
+            a = frontend.submit_evidence(ALICE, b"a", description)
+            frontend.transfer_evidence(ALICE, a, BOB)
+            b = frontend.submit_evidence(BOB, b"b", "")
+            frontend.discard_evidence(BOB, b)
+            with pytest.raises(NotOwner):  # reverts, so writes no line
+                frontend.transfer_evidence(ALICE, a, CAROL)
+            before = _snapshot(frontend.client)
+        journal = tmp_path / "ledger.jsonl"
+        assert journal.read_bytes().isascii()
+        assert len(journal.read_bytes().splitlines()) == 4
+        with open_custody(tmp_path) as frontend:
+            assert _snapshot(frontend.client) == before
+            assert frontend.client.get_entry(a).description == description
+            assert frontend.client.now() == 4.0
+            frontend.transfer_evidence(BOB, a, CAROL)
+        whole = journal.read_bytes()
+        journal.write_bytes(whole[:-20])  # the transfer's append was cut
+        with open_custody(tmp_path) as frontend:
+            assert journal.read_bytes() == whole[:whole.rindex(b"{")]
+            assert _snapshot(frontend.client) == before
+            frontend.transfer_evidence(BOB, a, ALICE)
+            assert frontend.client.now() == 5.0
+        with open_custody(tmp_path) as frontend:
+            entry = frontend.client.get_entry(a)
+            assert entry.taddr == [ALICE, BOB, ALICE]
+            assert entry.ttime == [1.0, 2.0, 5.0]
+            assert frontend.client.next_uid() == 6
+            assert frontend.check_referential_integrity()
+
+    def test_index_and_ledger_share_one_reader(self, tmp_path, monkeypatch):
+        with open_custody(tmp_path) as frontend:
+            frontend.submit_evidence(ALICE, b"a", "")
+        replayed = []
+        real = store_module._replay
+
+        def replay(path, apply):
+            replayed.append(path.name)
+            return real(path, apply)
+
+        monkeypatch.setattr(store_module, "_replay", replay)
+        with open_custody(tmp_path):
+            pass
+        assert replayed == ["index.tsv", "ledger.jsonl"]
+
+
+class Crash(Exception):
+    """Stands for the process dying at a write step."""
+
+
+@contextlib.contextmanager
+def crash_at(step, tear=False):
+    """Raise Crash in place of the step-th write the store module makes.
+
+    The writes are a blob file written or deleted and a journal line
+    appended. With tear, that append first writes half of its line.
+    Yields the names of the journals that got a whole line.
+    """
+    count, appended = 0, []
+    real_append = store_module._append_line
+
+    def hook(real):
+        def write(path, *args, **kwargs):
+            nonlocal count
+            count += 1
+            if count == step:
+                if tear and real is real_append:
+                    with open(path, "a") as journal:
+                        journal.write(args[0][:len(args[0]) // 2])
+                raise Crash(step)
+            real(path, *args, **kwargs)
+            if real is real_append:
+                appended.append(Path(path).name)
+        return write
+
+    with mock.patch.object(store_module, "_append_line", hook(real_append)), \
+            mock.patch.object(Path, "write_bytes", hook(Path.write_bytes)), \
+            mock.patch.object(Path, "unlink", hook(Path.unlink)):
+        yield appended
+
+
+@pytest.mark.parametrize("tear", [False, True])
+def test_failed_ledger_append_leaves_no_trace(tmp_path, tear):
+    # a create whose ledger line fails, then more work in the same session
+    with open_custody(tmp_path) as frontend:
+        kept = frontend.submit_evidence(ALICE, b"kept", "")
+        with crash_at(3, tear) as appended, pytest.raises(Crash):
+            frontend.submit_evidence(ALICE, b"lost", "")
+        assert appended == ["index.tsv"]
+        assert frontend.client.evidence_ids() == [kept]
+        frontend.transfer_evidence(ALICE, kept, BOB)
+        frontend.submit_evidence(BOB, b"later", "")
+        before = _snapshot(frontend.client)
+    with open_custody(tmp_path) as frontend:
+        assert _snapshot(frontend.client) == before
+        assert frontend.check_referential_integrity()
+        assert frontend.verify() == []
+
+
+_USERS = st.sampled_from([ALICE, BOB, CAROL])
+_BLOBS = st.binary(min_size=1, max_size=8)
+
+
+class CustodyMachine(RuleBasedStateMachine):
+    """Frontend over a journaled ledger against NaiveLedger, with crashes.
+
+    A crash stops an operation at one of its file writes, and the store
+    is reopened as a new process would. The operation committed exactly
+    when its ledger line was written whole.
+    """
+
+    ids = Bundle("ids")
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.root = Path(self.tmp.name)
+        self.model = NaiveLedger()
+        self.session = contextlib.ExitStack()
+        self.frontend = self.session.enter_context(open_custody(self.root))
+
+    def teardown(self):
+        self.session.close()
+        self.tmp.cleanup()
+
+    @rule()
+    def reopen(self):
+        self.session.close()
+        self.frontend = self.session.enter_context(open_custody(self.root))
+
+    def _operation(self, kind, issuer, evidence_id, new_owner, blob,
+                   description):
+        """(run, tx) for one operation; a create's tx needs its new id."""
+        fe = self.frontend
+        if kind == "create":
+            return (lambda: fe.submit_evidence(issuer, blob, description),
+                    lambda eid: create_tx(0, issuer, eid, description, 0.0))
+        if kind == "transfer":
+            return (lambda: fe.transfer_evidence(issuer, evidence_id, new_owner),
+                    lambda _: transfer_tx(0, issuer, evidence_id, new_owner, 0.0))
+        return (lambda: fe.discard_evidence(issuer, evidence_id),
+                lambda _: remove_tx(0, issuer, evidence_id, 0.0))
+
+    @rule(target=ids, issuer=_USERS, blob=_BLOBS, description=st.text(max_size=8))
+    def create(self, issuer, blob, description):
+        run, tx = self._operation("create", issuer, None, None, blob,
+                                  description)
+        evidence_id = run()
+        assert self.model.apply(tx(evidence_id), self.frontend.client.now()) is None
+        return evidence_id
+
+    @rule(kind=st.sampled_from(["transfer", "discard"]), issuer=_USERS,
+          evidence_id=ids, new_owner=_USERS)
+    def transfer_or_discard(self, kind, issuer, evidence_id, new_owner):
+        run, tx = self._operation(kind, issuer, evidence_id, new_owner, None, "")
+        try:
+            run()
+            reason = None
+        except LedgerError as err:
+            reason = _REASON_BY_ERROR[type(err)].value
+        assert self.model.apply(tx(None), self.frontend.client.now()) == reason
+
+    @rule(target=ids, kind=st.sampled_from(["create", "transfer", "discard"]),
+          step=st.integers(1, 3), tear=st.booleans(), issuer=_USERS,
+          evidence_id=ids, new_owner=_USERS, blob=_BLOBS,
+          description=st.text(max_size=8))
+    def crash(self, kind, step, tear, issuer, evidence_id, new_owner, blob,
+              description):
+        run, tx = self._operation(kind, issuer, evidence_id, new_owner, blob,
+                                  description)
+        before = set(self.frontend.client.evidence_ids())
+        with crash_at(step, tear) as appended:
+            try:
+                run()
+            except (Crash, LedgerError):
+                pass
+        self.reopen()
+        if store_module.LEDGER not in appended:
+            return multiple()
+        created = set(self.frontend.client.evidence_ids()) - before
+        new_id = created.pop() if created else None
+        assert self.model.apply(tx(new_id), self.frontend.client.now()) is None
+        return multiple(*([new_id] if new_id else []))
+
+    @invariant()
+    def matches_the_naive_ledger(self):
+        assert _snapshot(self.frontend.client) == self.model.snapshot()
+
+    @invariant()
+    def store_and_ledger_agree(self):
+        assert self.frontend.check_referential_integrity()
+        assert self.frontend.verify() == []
+        assert {p.stem for p in self.root.glob("*.bin")} == \
+            {eid.hex for eid in self.frontend.store.ids()}
+
+
+CustodyMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=15, deadline=None)
+TestCustodyMachine = CustodyMachine.TestCase
