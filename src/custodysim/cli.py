@@ -379,7 +379,7 @@ def cmd_ledger_remove(args) -> int:
 
 
 def cmd_ledger_show(args) -> int:
-    with open_custody(args.store) as frontend:
+    with open_custody(args.store, reconcile=False) as frontend:
         entry = frontend.client.get_entry(EvidenceId.from_hex(args.id))
     print(f"id:          {entry.id.hex}")
     print(f"description: {entry.description}")
@@ -392,7 +392,7 @@ def cmd_ledger_show(args) -> int:
 
 
 def cmd_ledger_acquire(args) -> int:
-    with open_custody(args.store) as frontend:
+    with open_custody(args.store, reconcile=False) as frontend:
         blob = frontend.acquire_evidence(_identity(args.identity),
                                          EvidenceId.from_hex(args.id))
     if args.out:
@@ -404,7 +404,7 @@ def cmd_ledger_acquire(args) -> int:
 
 
 def cmd_ledger_verify(args) -> int:
-    with open_custody(args.store) as frontend:
+    with open_custody(args.store, reconcile=False) as frontend:
         problems = frontend.verify()
     for problem in problems:
         print(problem)

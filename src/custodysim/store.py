@@ -19,19 +19,25 @@ replay, is a ``StoreError`` naming the file and the line.
 ``open_custody`` opens a store directory for one command and holds an
 exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. A
 create writes its blob, then its index line, then its ledger line; a
-discard writes its ledger line first. So a store entry or blob file that
-the ledger does not name is a create or discard cut short, and opening
-deletes it. A ``ledger.json`` that older versions rewrote whole on every
-command is converted to the journal once, under the lock.
+discard writes its ledger line first. So a store entry, or a blob file
+named ``<hex id>.bin``, that the ledger does not name is a create or
+discard cut short, and a command that changes the ledger deletes it
+first; ``verify`` reports it. No other file in the directory is touched.
+A store whose index names entries but that has no ledger journal is a
+``StoreError``. A ``ledger.json`` that older versions rewrote whole on
+every command is converted once, under the lock: into
+``ledger.jsonl.tmp``, then renamed over the journal after the old file
+is gone. A ``ledger.json`` found next to a ``ledger.jsonl`` was not left
+by a conversion, and opening refuses the store until one is removed.
 """
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import hashlib
 import json
 import os
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -42,6 +48,7 @@ from .ledger import (_REASON_BY_ERROR, Address, EvidenceEntry, EvidenceId,
                      transfer_tx)
 
 LEDGER = "ledger.jsonl"
+_BLOB_FILE = re.compile(r"[0-9a-f]{64}\.bin")
 
 
 class StoreError(Exception):
@@ -181,6 +188,13 @@ class EvidenceStore:
 
     def ids(self):
         return sorted(self._index)
+
+    def stray_files(self) -> list[Path]:
+        """Blob files, by their ``<hex id>.bin`` name, the index does not name."""
+        named = {f"{evidence_id.hex}.bin" for evidence_id in self._index}
+        return sorted(path for path in self.root.iterdir()
+                      if _BLOB_FILE.fullmatch(path.name)
+                      and path.name not in named)
 
 
 class LocalLedgerClient:
@@ -347,38 +361,51 @@ class Frontend:
                      for eid in sorted(stored - listed)]
         problems += [f"{eid.hex} is on the ledger but not in the store"
                      for eid in sorted(listed - stored)]
+        problems += [f"{path.name} is a blob file the store index does not name"
+                     for path in self.store.stray_files()]
         return problems
 
 
 @contextlib.contextmanager
-def open_custody(root: Path) -> Iterator[Frontend]:
+def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     """Yield a Frontend over the store at root and its journaled ledger.
 
-    The lock, the conversion of a ledger.json and the clean-up on open
-    are described in the module docstring.
+    The lock, the conversion of a ledger.json and the clean-up that
+    reconcile asks for are described in the module docstring. Commands
+    that only read pass reconcile=False, so ``verify`` sees what a
+    command cut short left behind.
     """
+    import fcntl  # POSIX only; nothing else in the package needs it
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         store = EvidenceStore(root)
-        legacy = root / "ledger.json"
+        journal, legacy = root / LEDGER, root / "ledger.json"
+        converted = root / (LEDGER + ".tmp")
         if legacy.exists():
-            # a journal beside it is a conversion cut short: start again
-            (root / LEDGER).unlink(missing_ok=True)
-        client = LocalLedgerClient(root / LEDGER)
-        if legacy.exists():
-            _convert_json_ledger(legacy, client)
+            if journal.exists():
+                raise StoreError(f"{legacy} from an older version lies next "
+                                 f"to the journal {journal}; remove the one "
+                                 "that is not the ledger of record")
+            _convert_json_ledger(legacy, converted)
             legacy.unlink()
-        frontend = Frontend(store, client,
-                            seed=random.SystemRandom().getrandbits(32))
-        _reconcile(store, client)
-        yield frontend
+        if converted.exists() and not journal.exists():
+            os.replace(converted, journal)
+        if not journal.exists():
+            if store.ids():
+                raise StoreError(f"{journal} is missing but {store.index_path} "
+                                 f"names {len(store.ids())} entries")
+            journal.touch()
+        client = LocalLedgerClient(journal)
+        if reconcile:
+            _reconcile(store, client)
+        yield Frontend(store, client, seed=random.SystemRandom().getrandbits(32))
 
 
-def _convert_json_ledger(path: Path, client: LocalLedgerClient) -> None:
-    """Commit each entry of a whole-ledger JSON file as its create and
-    transfers, in ledger-time order, at their recorded times."""
+def _convert_json_ledger(path: Path, journal: Path) -> None:
+    """Write the journal of a whole-ledger JSON file: each entry's create
+    and transfers, in ledger-time order, at their recorded times."""
     try:
         txs = []
         for raw in json.loads(path.read_text())["entries"]:
@@ -396,6 +423,8 @@ def _convert_json_ledger(path: Path, client: LocalLedgerClient) -> None:
     except (ValueError, KeyError, IndexError, TypeError, LedgerError) as err:
         # ValueError covers JSON, hex and UTF-8 decoding errors
         raise StoreError(f"{path} is malformed: {err}") from err
+    journal.unlink(missing_ok=True)  # left by a conversion cut short
+    client = LocalLedgerClient(journal)
     for tx in sorted(txs, key=lambda tx: tx.issue_time):
         receipt = client._commit(replace(tx, uid=client.next_uid()),
                                  tx.issue_time)
@@ -409,7 +438,5 @@ def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:
     """Delete every store entry and blob file that the ledger does not name."""
     for evidence_id in set(store.ids()) - set(client.evidence_ids()):
         store.delete(evidence_id)
-    named = {f"{evidence_id.hex}.bin" for evidence_id in store.ids()}
-    for path in store.root.glob("*.bin"):
-        if path.name not in named:
-            path.unlink()
+    for path in store.stray_files():
+        path.unlink()

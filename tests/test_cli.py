@@ -7,14 +7,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import custodysim
 from custodysim.cli import METRICS_COLUMNS, main
 from custodysim.config import _FIELD_PARSERS, ExperimentConfig
+from custodysim.ledger import EvidenceId
 from custodysim.store import EvidenceStore, open_custody
+from crashes import Crash, crash_at
 
 DATA = Path(__file__).parent / "data"
 
@@ -312,35 +313,6 @@ class TestLedgerWorkflow:
         assert "ab" * 20 in show
 
 
-class Crash(Exception):
-    """Stands for the process dying at a write step."""
-
-
-def _crash_at(step):
-    """Patches that raise Crash in place of the step-th file write.
-
-    The writes counted are the ones a custody command makes: a blob
-    written or deleted, a file opened through the store module's open
-    (the lock and each journal append), and a file written aside and
-    renamed over another.
-    """
-    count = 0
-
-    def hook(real):
-        def write(*args, **kwargs):
-            nonlocal count
-            count += 1
-            if count == step:
-                raise Crash(step)
-            return real(*args, **kwargs)
-        return write
-
-    return [mock.patch.object(Path, name, hook(getattr(Path, name)))
-            for name in ("write_bytes", "write_text", "unlink")] + [
-        mock.patch.object(os, "replace", hook(os.replace)),
-        mock.patch("custodysim.store.open", hook(open), create=True)]
-
-
 _CREATE_LOOP = """
 import sys
 from custodysim.cli import main
@@ -349,6 +321,22 @@ codes = [main(["ledger", "--store", store, "create", "--file", blob,
                "--as", "alice"]) for _ in range(n)]
 sys.exit(max(codes))
 """
+
+
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(custodysim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_only_the_ledger_commands_need_fcntl(tmp_path):
+    # as on a Python without fcntl: the simulator and analytics still run
+    script = ("import sys; sys.modules['fcntl'] = None\n"
+              "from custodysim.cli import main\n"
+              "assert main(['analyze', 'fig3', '--minutes', '5']) == 0\n"
+              f"main(['ledger', '--store', {str(tmp_path)!r}, 'verify'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_SRC_ENV, timeout=60)
+    assert "header_mib_per_year" in proc.stdout
+    assert proc.returncode != 0 and "fcntl" in proc.stderr
 
 
 class TestLedgerStore:
@@ -364,13 +352,10 @@ class TestLedgerStore:
     def test_two_processes_lose_no_create(self, tmp_path, capsys):
         store, blob, n = tmp_path / "s", tmp_path / "e.bin", 15
         blob.write_bytes(b"shared evidence")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(custodysim.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
         procs = [subprocess.Popen(
             [sys.executable, "-c", _CREATE_LOOP, str(store), str(blob), str(n)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-            for _ in range(2)]
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_SRC_ENV) for _ in range(2)]
         outputs = [proc.communicate(timeout=120) for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0], outputs
         ids = [line for out, _ in outputs for line in out.split()]
@@ -383,9 +368,10 @@ class TestLedgerStore:
             assert len(frontend.client.evidence_ids()) == 2 * n
             assert frontend.check_referential_integrity()
 
-    @pytest.mark.parametrize("step", range(1, 7))
+    @pytest.mark.parametrize("tear", [False, True])
+    @pytest.mark.parametrize("step", range(1, 5))
     @pytest.mark.parametrize("op", ["create", "transfer", "discard"])
-    def test_crash_at_each_write_step(self, op, step, tmp_path, capsys):
+    def test_crash_at_each_write_step(self, op, step, tear, tmp_path, capsys):
         store, blob = tmp_path / "s", tmp_path / "e.bin"
         blob.write_bytes(b"first")
         kept = self._create(capsys, store, blob)
@@ -393,30 +379,63 @@ class TestLedgerStore:
         argv = {"create": ["create", "--file", str(blob)],
                 "transfer": ["transfer", kept, "--to", "bob"],
                 "discard": ["discard", kept]}[op]
-        with contextlib.ExitStack() as patches:
-            for patch in _crash_at(step):
-                patches.enter_context(patch)
+        with crash_at(step, tear):
             try:
                 main(["ledger", "--store", str(store), *argv, "--as", "alice"])
             except Crash:
                 pass
         capsys.readouterr()
-        ids = {path.stem for path in store.glob("*.bin")}
-        ids |= {eid.hex for eid in EvidenceStore(store).ids()} | {kept}
-        for eid in sorted(ids):
+        names = {path.stem for path in store.glob("*.bin")}
+        names |= {eid.hex for eid in EvidenceStore(store).ids()}
+        left = {eid for eid in names if _run(
+            capsys, "ledger", "--store", str(store), "show", eid)[0] != 0}
+        names.add(kept)
+        # verify reports what the crash left; the next change clears it
+        code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
+        assert code == (1 if left else 0)
+        assert {line.split()[0].removesuffix(".bin")
+                for line in out.splitlines()} == left
+        self._create(capsys, store, blob, who="carol")
+        assert _run(capsys, "ledger", "--store", str(store), "verify") \
+            == (0, "", "")
+        in_store = {eid.hex for eid in EvidenceStore(store).ids()}
+        for eid in sorted(names):
             on_ledger = _run(capsys, "ledger", "--store", str(store), "show",
                              eid)[0] == 0
-            in_store = {e.hex for e in EvidenceStore(store).ids()}
             assert on_ledger == (eid in in_store) == \
                 (store / f"{eid}.bin").exists()
+
+    def test_user_files_in_the_store_survive(self, tmp_path, capsys):
+        store = tmp_path / "s"
+        store.mkdir()
+        source = store / "disk.img.bin"
+        source.write_bytes(b"original evidence")
+        eid = self._create(capsys, store, source)
+        copy = store / "copy.bin"
+        assert _run(capsys, "ledger", "--store", str(store), "acquire", eid,
+                    "--as", "alice", "--out", str(copy))[0] == 0
+        self._create(capsys, store, source, who="bob")
+        assert source.read_bytes() == copy.read_bytes() == b"original evidence"
+        assert _run(capsys, "ledger", "--store", str(store), "verify") \
+            == (0, "", "")
+
+    def test_missing_journal_exits_1_and_keeps_blobs(self, tmp_path, capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"x")
+        eid = self._create(capsys, store, blob)
+        (store / "ledger.jsonl").unlink()
+        code, _, err = _run(capsys, "ledger", "--store", str(store),
+                            "transfer", eid, "--to", "bob", "--as", "alice")
+        assert code == 1
+        assert "StoreError" in err and "ledger.jsonl is missing" in err
+        assert (store / f"{eid}.bin").exists()
+        assert [e.hex for e in EvidenceStore(store).ids()] == [eid]
 
     def test_json_ledger_store_converts(self, tmp_path, capsys):
         fixture = DATA / "json-ledger-store"
         store = tmp_path / "store"
         shutil.copytree(fixture / "store", store)
-        orphan = store / ("4233d2ea47f3d261fbda1762bc430f6dbc92440f"
-                          "5a11eb9540781feb0fafe325.bin")
-        assert orphan.exists()
+        orphan = "4233d2ea47f3d261fbda1762bc430f6dbc92440f5a11eb9540781feb0fafe325"
         shows = {}
         for name in ("a", "c"):
             text = (fixture / f"show-{name}.txt").read_text()
@@ -429,17 +448,50 @@ class TestLedgerStore:
         assert not (store / "ledger.json").exists()
         # two creates and three transfers; the discarded entry is gone
         assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
-        assert not orphan.exists()
+        code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
+        assert code == 1
+        assert out == f"{orphan} is in the store but not on the ledger\n"
+        with open_custody(store):
+            pass
+        assert not (store / f"{orphan}.bin").exists()
         assert _run(capsys, "ledger", "--store", str(store), "verify") \
             == (0, "", "")
 
-    def test_conversion_cut_short_starts_again(self, tmp_path, capsys):
+    @pytest.mark.parametrize("step", range(1, 10))
+    def test_conversion_cut_short_finishes_on_reopen(self, step, tmp_path,
+                                                     capsys):
         store = tmp_path / "store"
         shutil.copytree(DATA / "json-ledger-store" / "store", store)
-        (store / "ledger.jsonl").write_text('{"uid": 1, "ti')
-        eid = (DATA / "json-ledger-store" / "show-c.txt").read_text().split()[1]
-        assert _run(capsys, "ledger", "--store", str(store), "show", eid)[0] == 0
+        text = (DATA / "json-ledger-store" / "show-c.txt").read_text()
+        argv = ["ledger", "--store", str(store), "show", text.split()[1]]
+        with crash_at(step):
+            try:
+                main(argv)
+            except Crash:
+                pass
+        capsys.readouterr()
+        assert _run(capsys, *argv) == (0, text, "")
+        assert sorted(path.name for path in store.iterdir()
+                      if not path.name.endswith(".bin")) == \
+            ["index.tsv", "ledger.jsonl", "lock"]
         assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
+
+    def test_json_ledger_next_to_a_journal_is_refused(self, tmp_path, capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"x")
+        ids = [self._create(capsys, store, blob) for _ in range(2)]
+        legacy = json.loads(
+            (DATA / "json-ledger-store" / "store" / "ledger.json").read_text())
+        legacy["entries"] = legacy["entries"][:1]
+        (store / "ledger.json").write_text(json.dumps(legacy))
+        journal = (store / "ledger.jsonl").read_bytes()
+        for argv in (["show", ids[0]], ["discard", ids[0], "--as", "alice"]):
+            code, _, err = _run(capsys, "ledger", "--store", str(store), *argv)
+            assert code == 1
+            assert "StoreError" in err and "ledger.json from an older" in err
+        assert (store / "ledger.jsonl").read_bytes() == journal
+        assert (store / "ledger.json").exists()
+        assert all((store / f"{eid}.bin").exists() for eid in ids)
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:40],
@@ -476,8 +528,7 @@ class TestLedgerStore:
             (store / f"{eid}.bin").unlink()
             expected = "No such file"
         else:
-            with open(store / "index.tsv", "a") as index:
-                index.write(f"-\t{eid}\n")
+            EvidenceStore(store).delete(EvidenceId.from_hex(eid))
             expected = "is on the ledger but not in the store"
         code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
         assert code == 1

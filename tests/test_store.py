@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
                               LocalLedgerClient, StoreError, generate_id,
                               open_custody)
+from crashes import Crash, crash_at
 from naive_ledger import NaiveLedger
 
 ALICE = Address.from_label("alice")
@@ -395,41 +395,6 @@ class TestLedgerJournal:
         with open_custody(tmp_path):
             pass
         assert replayed == ["index.tsv", "ledger.jsonl"]
-
-
-class Crash(Exception):
-    """Stands for the process dying at a write step."""
-
-
-@contextlib.contextmanager
-def crash_at(step, tear=False):
-    """Raise Crash in place of the step-th write the store module makes.
-
-    The writes are a blob file written or deleted and a journal line
-    appended. With tear, that append first writes half of its line.
-    Yields the names of the journals that got a whole line.
-    """
-    count, appended = 0, []
-    real_append = store_module._append_line
-
-    def hook(real):
-        def write(path, *args, **kwargs):
-            nonlocal count
-            count += 1
-            if count == step:
-                if tear and real is real_append:
-                    with open(path, "a") as journal:
-                        journal.write(args[0][:len(args[0]) // 2])
-                raise Crash(step)
-            real(path, *args, **kwargs)
-            if real is real_append:
-                appended.append(Path(path).name)
-        return write
-
-    with mock.patch.object(store_module, "_append_line", hook(real_append)), \
-            mock.patch.object(Path, "write_bytes", hook(Path.write_bytes)), \
-            mock.patch.object(Path, "unlink", hook(Path.unlink)):
-        yield appended
 
 
 @pytest.mark.parametrize("tear", [False, True])
