@@ -352,6 +352,14 @@ def _identity(label: str) -> Address:
     return Address.from_label(label)
 
 
+def _evidence_id(text: str) -> EvidenceId:
+    """Parse an id argument, before any command touches the store."""
+    try:
+        return EvidenceId.from_hex(text)
+    except ValueError as err:
+        raise ConfigError(f"bad evidence id {text!r}: {err}") from err
+
+
 def cmd_ledger_create(args) -> int:
     blob = args.file.read_bytes()
     with open_custody(args.store) as frontend:
@@ -362,25 +370,26 @@ def cmd_ledger_create(args) -> int:
 
 
 def cmd_ledger_transfer(args) -> int:
+    evidence_id = _evidence_id(args.id)
     with open_custody(args.store) as frontend:
-        frontend.transfer_evidence(_identity(args.identity),
-                                   EvidenceId.from_hex(args.id),
+        frontend.transfer_evidence(_identity(args.identity), evidence_id,
                                    _identity(args.to))
     print("transferred")
     return 0
 
 
 def cmd_ledger_remove(args) -> int:
+    evidence_id = _evidence_id(args.id)
     with open_custody(args.store) as frontend:
-        frontend.discard_evidence(_identity(args.identity),
-                                  EvidenceId.from_hex(args.id))
+        frontend.discard_evidence(_identity(args.identity), evidence_id)
     print("removed")
     return 0
 
 
 def cmd_ledger_show(args) -> int:
+    evidence_id = _evidence_id(args.id)
     with open_custody(args.store, reconcile=False) as frontend:
-        entry = frontend.client.get_entry(EvidenceId.from_hex(args.id))
+        entry = frontend.client.get_entry(evidence_id)
     print(f"id:          {entry.id.hex}")
     print(f"description: {entry.description}")
     print(f"creator:     {entry.creator.hex}")
@@ -392,9 +401,9 @@ def cmd_ledger_show(args) -> int:
 
 
 def cmd_ledger_acquire(args) -> int:
+    evidence_id = _evidence_id(args.id)
     with open_custody(args.store, reconcile=False) as frontend:
-        blob = frontend.acquire_evidence(_identity(args.identity),
-                                         EvidenceId.from_hex(args.id))
+        blob = frontend.acquire_evidence(_identity(args.identity), evidence_id)
     if args.out:
         args.out.write_bytes(blob)
         print(f"wrote {len(blob)} bytes to {args.out}")

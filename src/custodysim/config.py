@@ -85,6 +85,15 @@ class ExperimentConfig(ChainParams):
         return self.round_timeout or 2.0 * self.period
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, not {text!r}")
+
+
 _FIELD_PARSERS = {
     "period": float,
     "gas_limit": int,
@@ -95,8 +104,8 @@ _FIELD_PARSERS = {
     "round_timeout": float,
     "seed": int,
     "periods": int,
-    "drain": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "reject_invalid_at_mempool": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "drain": _parse_bool,
+    "reject_invalid_at_mempool": _parse_bool,
     "byzantine": lambda s: parse_byzantine(s),
 }
 

@@ -5,10 +5,18 @@ The ledger tracks custody entries: who collected a piece of evidence
 history. Mutations go through three transaction kinds (create, transfer,
 remove); every transaction has a fixed gas and byte cost used by the
 block builder and the analytics.
+
+The rules of the ledger (a nonzero id, no duplicate create, transfer by
+the owner only, remove by the creator only, a description within the
+limit) are written once. ``LedgerState.validate`` holds them all and
+copies nothing; ``LedgerState.apply`` asks the same rules and writes
+only after they let the transaction commit. A transaction that breaks a
+rule reverts: its receipt names the ``RevertReason``, it still pays its
+gas, and ``REVERT_ERRORS`` maps the reason to the ``LedgerError`` a
+caller raises for it.
 """
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -233,14 +241,37 @@ class RevertReason(enum.Enum):
     DESCRIPTION_TOO_LONG = "description-too-long"
 
 
-_REASON_BY_ERROR = {
-    InvalidId: RevertReason.INVALID_ID,
-    EvidenceAlreadyExists: RevertReason.EVIDENCE_EXISTS,
-    EvidenceNotFound: RevertReason.EVIDENCE_NOT_FOUND,
-    NotOwner: RevertReason.NOT_OWNER,
-    NotCreator: RevertReason.NOT_CREATOR,
-    DescriptionTooLong: RevertReason.DESCRIPTION_TOO_LONG,
+REVERT_ERRORS = {
+    RevertReason.INVALID_ID: InvalidId,
+    RevertReason.EVIDENCE_EXISTS: EvidenceAlreadyExists,
+    RevertReason.EVIDENCE_NOT_FOUND: EvidenceNotFound,
+    RevertReason.NOT_OWNER: NotOwner,
+    RevertReason.NOT_CREATOR: NotCreator,
+    RevertReason.DESCRIPTION_TOO_LONG: DescriptionTooLong,
 }
+
+
+def _revert_reason(tx: Transaction,
+                   entry: Optional[EvidenceEntry]) -> Optional[RevertReason]:
+    """Every precondition of the ledger, as a pure function.
+
+    entry is what tx's evidence id names on the ledger, None if nothing.
+    Returns why tx would revert, or None if it would commit.
+    """
+    kind = tx.kind
+    if kind is not TxKind.CREATE:
+        if entry is None:
+            return RevertReason.EVIDENCE_NOT_FOUND
+        if kind is TxKind.TRANSFER:
+            return None if tx.issuer == entry.owner else RevertReason.NOT_OWNER
+        return None if tx.issuer == entry.creator else RevertReason.NOT_CREATOR
+    if tx.evidence_id.is_zero():
+        return RevertReason.INVALID_ID
+    if entry is not None:
+        return RevertReason.EVIDENCE_EXISTS
+    if len(tx.description or "") > MAX_DESCRIPTION_LEN:
+        return RevertReason.DESCRIPTION_TOO_LONG
+    return None
 
 
 @dataclass(frozen=True)
@@ -259,48 +290,28 @@ class Receipt:
 class LedgerState:
     """In-memory evidence log.
 
-    Every mutating operation validates all preconditions before touching
-    state, so a raised error always leaves the state untouched.
+    ``validate`` holds every rule: it tells why a transaction would
+    revert against the current state and changes nothing. ``apply`` asks
+    the same rules and writes only when they let the transaction commit,
+    so a revert leaves the state untouched and raises nothing.
     """
 
     def __init__(self):
         self.evidences: dict[EvidenceId, EvidenceEntry] = {}
-
-    def create_evidence(self, sender: Address, evidence_id: EvidenceId,
-                        description: str, time: float) -> None:
-        if evidence_id.is_zero():
-            raise InvalidId("the zero id is reserved")
-        if evidence_id in self.evidences:
-            raise EvidenceAlreadyExists(evidence_id.hex)
-        if len(description) > MAX_DESCRIPTION_LEN:
-            raise DescriptionTooLong(
-                f"{len(description)} characters, max {MAX_DESCRIPTION_LEN}")
-        self.evidences[evidence_id] = EvidenceEntry(
-            id=evidence_id, creator=sender, owner=sender,
-            description=description, taddr=[sender], ttime=[time])
-
-    def transfer(self, sender: Address, evidence_id: EvidenceId,
-                 new_owner: Address, time: float) -> None:
-        entry = self._existing(evidence_id)
-        if sender != entry.owner:
-            raise NotOwner(f"{sender.hex} does not own {evidence_id.hex}")
-        entry.owner = new_owner
-        entry.taddr.append(new_owner)
-        entry.ttime.append(time)
-
-    def remove_evidence(self, sender: Address, evidence_id: EvidenceId) -> None:
-        entry = self._existing(evidence_id)
-        if sender != entry.creator:
-            raise NotCreator(f"{sender.hex} did not create {evidence_id.hex}")
-        del self.evidences[evidence_id]
 
     def get_evidence(self, evidence_id: EvidenceId) -> EvidenceEntry:
         """Read-only lookup; returns a defensive copy of the entry.
 
         Only the history lists are copied: ids and addresses are frozen.
         """
-        entry = self._existing(evidence_id)
+        entry = self.evidences.get(evidence_id)
+        if entry is None:
+            raise EvidenceNotFound(evidence_id.hex)
         return replace(entry, taddr=list(entry.taddr), ttime=list(entry.ttime))
+
+    def validate(self, tx: Transaction) -> Optional[RevertReason]:
+        """Why tx would revert against the current state, or None."""
+        return _revert_reason(tx, self.evidences.get(tx.evidence_id))
 
     def apply(self, tx: Transaction, ledger_time: float) -> Receipt:
         """Apply one transaction at the given ledger (block) timestamp.
@@ -308,34 +319,22 @@ class LedgerState:
         Precondition failures are reported in the receipt, never raised;
         gas is charged regardless of the outcome.
         """
-        try:
-            if tx.kind is TxKind.CREATE:
-                self.create_evidence(tx.issuer, tx.evidence_id,
-                                     tx.description or "", ledger_time)
-            elif tx.kind is TxKind.TRANSFER:
-                assert tx.new_owner is not None
-                self.transfer(tx.issuer, tx.evidence_id, tx.new_owner, ledger_time)
+        entry = self.evidences.get(tx.evidence_id)
+        reason = _revert_reason(tx, entry)
+        if reason is None:
+            kind = tx.kind
+            if kind is TxKind.TRANSFER:  # the most frequent kind first
+                entry.owner = tx.new_owner
+                entry.taddr.append(tx.new_owner)
+                entry.ttime.append(ledger_time)
+            elif kind is TxKind.CREATE:
+                self.evidences[tx.evidence_id] = EvidenceEntry(
+                    id=tx.evidence_id, creator=tx.issuer, owner=tx.issuer,
+                    description=tx.description or "", taddr=[tx.issuer],
+                    ttime=[ledger_time])
             else:
-                self.remove_evidence(tx.issuer, tx.evidence_id)
-        except LedgerError as err:
-            return Receipt(tx.uid, _REASON_BY_ERROR[type(err)], tx.gas)
-        return Receipt(tx.uid, None, tx.gas)
-
-    def validate(self, tx: Transaction) -> Optional[RevertReason]:
-        """Dry-run a transaction against the current state."""
-        scratch = self.copy()
-        return scratch.apply(tx, 0.0).reason
-
-    def copy(self) -> "LedgerState":
-        other = LedgerState()
-        other.evidences = copy.deepcopy(self.evidences)
-        return other
-
-    def _existing(self, evidence_id: EvidenceId) -> EvidenceEntry:
-        entry = self.evidences.get(evidence_id)
-        if entry is None:
-            raise EvidenceNotFound(evidence_id.hex)
-        return entry
+                del self.evidences[tx.evidence_id]
+        return Receipt(tx.uid, reason, tx.gas)
 
     def __len__(self):
         return len(self.evidences)

@@ -42,7 +42,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .ledger import (_REASON_BY_ERROR, Address, EvidenceEntry, EvidenceId,
+from .ledger import (REVERT_ERRORS, Address, EvidenceEntry, EvidenceId,
                      EvidenceNotFound, LedgerError, LedgerState, NotOwner,
                      Receipt, Transaction, TxKind, create_tx, remove_tx,
                      transfer_tx)
@@ -200,8 +200,10 @@ class EvidenceStore:
 class LocalLedgerClient:
     """Synchronous single-node client: every submit commits immediately.
 
-    Given a journal path, the client first replays the journal and then
-    appends one line per transaction that commits.
+    A transaction that reverts raises its typed ``LedgerError`` (see
+    ``ledger.REVERT_ERRORS``), on submit and on replay alike. Given a
+    journal path, the client first replays the journal and then appends
+    one line per transaction that commits.
     """
 
     def __init__(self, journal: Optional[Path] = None):
@@ -226,18 +228,16 @@ class LocalLedgerClient:
             tx = transfer_tx(*head, Address.from_hex(record["new_owner"]), time)
         else:
             tx = remove_tx(*head, time)
-        receipt = self.state.apply(tx, time)
-        if not receipt.succeeded:
-            raise _revert_error(receipt)
-        self._time, self._uid = time, tx.uid
+        self._apply(tx, time)
+        self._uid = tx.uid
 
-    def submit(self, tx: Transaction) -> Receipt:
-        return self._commit(tx, self._time + 1.0)
-
-    def _commit(self, tx: Transaction, time: float) -> Receipt:
-        self._time = time
-        receipt = self.state.apply(tx, time)
-        if receipt.succeeded and self.journal is not None:
+    def submit(self, tx: Transaction, time: Optional[float] = None) -> Receipt:
+        """Commit tx at the given ledger time, by default one past the
+        last, and journal it. A revert journals nothing and raises, but
+        still moves the clock on."""
+        time = self._time + 1.0 if time is None else time
+        receipt = self._apply(tx, time)
+        if self.journal is not None:
             record = {"uid": tx.uid, "time": time, "kind": tx.kind.value,
                       "issuer": tx.issuer.hex, "id": tx.evidence_id.hex}
             if tx.kind is TxKind.CREATE:
@@ -249,6 +249,13 @@ class LocalLedgerClient:
             except BaseException:
                 self._load()  # memory must hold what the journal holds
                 raise
+        return receipt
+
+    def _apply(self, tx: Transaction, time: float) -> Receipt:
+        self._time = time
+        receipt = self.state.apply(tx, time)
+        if not receipt.succeeded:
+            raise REVERT_ERRORS[receipt.reason](receipt.reason.value)
         return receipt
 
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry:
@@ -263,14 +270,6 @@ class LocalLedgerClient:
 
     def now(self) -> float:
         return self._time
-
-
-_ERROR_BY_REASON = {reason: error for error, reason in _REASON_BY_ERROR.items()}
-
-
-def _revert_error(receipt: Receipt) -> LedgerError:
-    """The typed ledger error for a reverted transaction's receipt."""
-    return _ERROR_BY_REASON[receipt.reason](receipt.reason.value)
 
 
 class Frontend:
@@ -304,10 +303,13 @@ class Frontend:
         tx = create_tx(self.client.next_uid(), creator, evidence_id,
                        description, self.client.now())
         self.store.put(evidence_id, nonce, blob)
-        receipt = self.client.submit(tx)
-        if not receipt.succeeded:
+        try:
+            self.client.submit(tx)
+        except (LedgerError, OSError):
+            # a revert or a failed ledger append; after any other error
+            # the blob is left for the next reconciling open to delete
             self.store.delete(evidence_id)
-            raise _revert_error(receipt)
+            raise
         return evidence_id
 
     def acquire_evidence(self, requester: Address,
@@ -326,19 +328,14 @@ class Frontend:
 
     def transfer_evidence(self, owner: Address, evidence_id: EvidenceId,
                           new_owner: Address) -> None:
-        tx = transfer_tx(self.client.next_uid(), owner, evidence_id,
-                         new_owner, self.client.now())
-        receipt = self.client.submit(tx)
-        if not receipt.succeeded:
-            raise _revert_error(receipt)
+        self.client.submit(transfer_tx(self.client.next_uid(), owner,
+                                       evidence_id, new_owner,
+                                       self.client.now()))
 
     def discard_evidence(self, requester: Address,
                          evidence_id: EvidenceId) -> None:
-        tx = remove_tx(self.client.next_uid(), requester, evidence_id,
-                       self.client.now())
-        receipt = self.client.submit(tx)
-        if not receipt.succeeded:
-            raise _revert_error(receipt)
+        self.client.submit(remove_tx(self.client.next_uid(), requester,
+                                     evidence_id, self.client.now()))
         # only after the removal committed may the blob go
         if evidence_id in self.store:
             self.store.delete(evidence_id)
@@ -426,12 +423,11 @@ def _convert_json_ledger(path: Path, journal: Path) -> None:
     journal.unlink(missing_ok=True)  # left by a conversion cut short
     client = LocalLedgerClient(journal)
     for tx in sorted(txs, key=lambda tx: tx.issue_time):
-        receipt = client._commit(replace(tx, uid=client.next_uid()),
-                                 tx.issue_time)
-        if not receipt.succeeded:
+        try:
+            client.submit(replace(tx, uid=client.next_uid()), tx.issue_time)
+        except LedgerError as err:
             raise StoreError(f"{path} is malformed: {tx.kind.value} of "
-                             f"{tx.evidence_id.hex} reverts: "
-                             f"{receipt.reason.value}")
+                             f"{tx.evidence_id.hex} reverts: {err}") from err
 
 
 def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:

@@ -1,10 +1,6 @@
 import random
-import sys
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from custodysim.ledger import (Address, EvidenceId, create_tx, remove_tx,
                                transfer_tx)

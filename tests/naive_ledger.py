@@ -52,3 +52,11 @@ class NaiveLedger:
              rec["description"],
              tuple(a.value for a in rec["taddr"]), tuple(rec["ttime"]))
             for rec in self.records)
+
+
+def state_snapshot(state):
+    """A LedgerState's contents in NaiveLedger.snapshot's form."""
+    return sorted(
+        (e.id.value, e.creator.value, e.owner.value, e.description,
+         tuple(a.value for a in e.taddr), tuple(e.ttime))
+        for e in state.evidences.values())

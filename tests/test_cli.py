@@ -12,7 +12,8 @@ import pytest
 
 import custodysim
 from custodysim.cli import METRICS_COLUMNS, main
-from custodysim.config import _FIELD_PARSERS, ExperimentConfig
+from custodysim.config import (_FIELD_PARSERS, ExperimentConfig,
+                               read_config_file)
 from custodysim.ledger import EvidenceId
 from custodysim.store import EvidenceStore, open_custody
 from crashes import Crash, crash_at
@@ -95,6 +96,24 @@ class TestConfigSurface:
         code, _, err = _run(capsys, "sim", "run", "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("text,value", [
+        *((text, True) for text in ("1", "true", "yes", "on", "TRUE", "On")),
+        *((text, False) for text in ("0", "false", "no", "off", "FALSE"))])
+    def test_boolean_spellings(self, text, value, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"drain = {text}\nreject_invalid_at_mempool = {text}\n")
+        assert read_config_file(cfg) == {"drain": value,
+                                         "reject_invalid_at_mempool": value}
+
+    @pytest.mark.parametrize("line", ["drain = maybe",
+                                      "reject_invalid_at_mempool = ture"])
+    def test_bad_boolean_exits_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"periods = 3\n{line}\n")
+        code, _, err = _run(capsys, "sim", "run", "--config", str(cfg))
+        assert code == 2
+        assert f"config error: {cfg}:2: bad value for {line.split()[0]}" in err
 
 
 # scenario -> (sim run flags, SHA-256 of the --out CSV, SHA-256 of stderr)
@@ -264,6 +283,20 @@ class TestLedgerWorkflow:
                             str(tmp_path / "s"), "show", "ab" * 32)
         assert code == 1
         assert "EvidenceNotFound" in err
+
+    @pytest.mark.parametrize("bad_id", ["zzz", "abcd"])
+    @pytest.mark.parametrize("command", [
+        ("show",), ("transfer", "--to", "bob", "--as", "alice"),
+        ("remove", "--as", "alice"), ("discard", "--as", "alice"),
+        ("acquire", "--as", "alice")], ids=lambda command: command[0])
+    def test_malformed_id_exits_2(self, command, bad_id, tmp_path, capsys):
+        store = tmp_path / "s"
+        code, out, err = _run(capsys, "ledger", "--store", str(store),
+                              command[0], bad_id, *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: bad evidence id {bad_id!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not store.exists()
 
     def test_malformed_index_exits_1(self, tmp_path, capsys):
         store = tmp_path / "s"

@@ -1,25 +1,42 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from custodysim import ledger
-from custodysim.ledger import (Address, DescriptionTooLong,
-                               EvidenceAlreadyExists, EvidenceNotFound,
-                               EvidenceId, InvalidDescriptionLength, InvalidId,
-                               LedgerState, NotCreator, NotOwner, RevertReason,
-                               TxKind, ZERO_ID, create_tx, remove_tx,
-                               transfer_tx, tx_gas, tx_size)
+from custodysim.ledger import (Address, DescriptionTooLong, EvidenceNotFound,
+                               EvidenceId, InvalidDescriptionLength,
+                               LedgerError, LedgerState, REVERT_ERRORS,
+                               RevertReason, TxKind, ZERO_ID,
+                               create_tx, remove_tx, transfer_tx, tx_gas,
+                               tx_size)
 
 from conftest import random_ops
-from naive_ledger import NaiveLedger
+from naive_ledger import NaiveLedger, state_snapshot
+
+
+def _create(state, issuer, evidence_id, time, description=""):
+    """Apply a create; return its revert reason, None if it committed."""
+    return state.apply(create_tx(0, issuer, evidence_id, description, time),
+                       time).reason
+
+
+def _transfer(state, issuer, evidence_id, new_owner, time):
+    return state.apply(transfer_tx(0, issuer, evidence_id, new_owner, time),
+                       time).reason
+
+
+def _remove(state, issuer, evidence_id, time):
+    return state.apply(remove_tx(0, issuer, evidence_id, time), time).reason
 
 
 class TestCreate:
     def test_first_create(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "laptop disk image", 1.0)
+        assert _create(state, addrs[0], ids[0], 1.0, "laptop disk image") is None
         entry = state.get_evidence(ids[0])
         assert entry.creator == addrs[0]
         assert entry.owner == addrs[0]
@@ -28,72 +45,77 @@ class TestCreate:
 
     def test_duplicate_create_rejected(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        with pytest.raises(EvidenceAlreadyExists):
-            state.create_evidence(addrs[1], ids[0], "", 2.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _create(state, addrs[1], ids[0], 2.0) is \
+            RevertReason.EVIDENCE_EXISTS
+        assert state.get_evidence(ids[0]).creator == addrs[0]
 
     def test_zero_id_rejected(self, addrs):
         state = LedgerState()
-        with pytest.raises(InvalidId):
-            state.create_evidence(addrs[0], ZERO_ID, "", 1.0)
+        assert _create(state, addrs[0], ZERO_ID, 1.0) is RevertReason.INVALID_ID
+        assert len(state) == 0
 
     def test_description_too_long(self, addrs, ids):
         state = LedgerState()
-        with pytest.raises(DescriptionTooLong):
-            state.create_evidence(addrs[0], ids[0], "x" * 1025, 1.0)
-        state.create_evidence(addrs[0], ids[0], "x" * 1024, 1.0)
+        # create_tx refuses such a description, so build the tx around it
+        tx = replace(create_tx(1, addrs[0], ids[0], "", 1.0),
+                     description="x" * 1025)
+        assert state.apply(tx, 1.0).reason is RevertReason.DESCRIPTION_TOO_LONG
+        assert len(state) == 0
+        assert _create(state, addrs[0], ids[0], 1.0, "x" * 1024) is None
 
 
 class TestTransfer:
     def test_single_handover(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        state.transfer(addrs[0], ids[0], addrs[1], 2.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _transfer(state, addrs[0], ids[0], addrs[1], 2.0) is None
         entry = state.get_evidence(ids[0])
         assert entry.owner == addrs[1]
         assert entry.taddr == [addrs[0], addrs[1]]
 
     def test_non_owner_rejected(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        with pytest.raises(NotOwner):
-            state.transfer(addrs[1], ids[0], addrs[2], 2.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _transfer(state, addrs[1], ids[0], addrs[2], 2.0) is \
+            RevertReason.NOT_OWNER
+        assert state.get_evidence(ids[0]).taddr == [addrs[0]]
 
     def test_unknown_id(self, addrs, ids):
-        with pytest.raises(EvidenceNotFound):
-            LedgerState().transfer(addrs[0], ids[0], addrs[1], 1.0)
+        assert _transfer(LedgerState(), addrs[0], ids[0], addrs[1], 1.0) is \
+            RevertReason.EVIDENCE_NOT_FOUND
 
 
 class TestRemove:
     def test_creator_removes_after_transfer(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        state.transfer(addrs[0], ids[0], addrs[1], 2.0)
-        state.remove_evidence(addrs[0], ids[0])
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _transfer(state, addrs[0], ids[0], addrs[1], 2.0) is None
+        assert _remove(state, addrs[0], ids[0], 3.0) is None
         with pytest.raises(EvidenceNotFound):
             state.get_evidence(ids[0])
 
     def test_owner_but_not_creator_rejected(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        state.transfer(addrs[0], ids[0], addrs[1], 2.0)
-        with pytest.raises(NotCreator):
-            state.remove_evidence(addrs[1], ids[0])
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _transfer(state, addrs[0], ids[0], addrs[1], 2.0) is None
+        assert _remove(state, addrs[1], ids[0], 3.0) is RevertReason.NOT_CREATOR
+        assert state.get_evidence(ids[0]).owner == addrs[1]
 
     def test_recreate_after_removal(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        state.remove_evidence(addrs[0], ids[0])
-        state.create_evidence(addrs[1], ids[0], "second life", 3.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _remove(state, addrs[0], ids[0], 2.0) is None
+        assert _create(state, addrs[1], ids[0], 3.0, "second life") is None
         assert state.get_evidence(ids[0]).creator == addrs[1]
 
 
 class TestGetEvidence:
     def test_three_op_history(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        state.transfer(addrs[0], ids[0], addrs[1], 2.0)
-        state.transfer(addrs[1], ids[0], addrs[2], 3.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        assert _transfer(state, addrs[0], ids[0], addrs[1], 2.0) is None
+        assert _transfer(state, addrs[1], ids[0], addrs[2], 3.0) is None
         entry = state.get_evidence(ids[0])
         assert entry.taddr == [addrs[0], addrs[1], addrs[2]]
         assert entry.ttime == sorted(entry.ttime)
@@ -101,13 +123,13 @@ class TestGetEvidence:
 
     def test_returns_copy(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
         state.get_evidence(ids[0]).taddr.append(addrs[3])
         assert state.get_evidence(ids[0]).taddr == [addrs[0]]
 
     def test_returned_history_and_owner_are_isolated(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
         copy = state.get_evidence(ids[0])
         copy.ttime.append(9.0)
         copy.owner = addrs[3]
@@ -155,7 +177,7 @@ class TestCostModel:
 class TestApplyTransaction:
     def test_valid_transfer(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
         receipt = state.apply(transfer_tx(1, addrs[0], ids[0], addrs[1], 1.5), 2.0)
         assert receipt.succeeded
         assert state.get_evidence(ids[0]).owner == addrs[1]
@@ -164,20 +186,25 @@ class TestApplyTransaction:
 
     def test_revert_leaves_state_unchanged(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
-        before = state.copy()
+        assert _create(state, addrs[0], ids[0], 1.0) is None
+        before = state_snapshot(state)
         receipt = state.apply(transfer_tx(1, addrs[1], ids[0], addrs[2], 1.5), 2.0)
         assert receipt.reason is RevertReason.NOT_OWNER
-        assert state.evidences.keys() == before.evidences.keys()
-        assert state.get_evidence(ids[0]).owner == before.get_evidence(ids[0]).owner
+        assert state_snapshot(state) == before
 
     def test_gas_charged_on_revert(self, addrs, ids):
         state = LedgerState()
-        state.create_evidence(addrs[0], ids[0], "", 1.0)
+        assert _create(state, addrs[0], ids[0], 1.0) is None
         tx = create_tx(1, addrs[1], ids[0], "dup", 1.5)
         receipt = state.apply(tx, 2.0)
         assert receipt.reason is RevertReason.EVIDENCE_EXISTS
         assert receipt.gas_charged == tx.gas
+
+    def test_every_reason_has_one_error(self):
+        assert set(REVERT_ERRORS) == set(RevertReason)
+        errors = list(REVERT_ERRORS.values())
+        assert len(set(errors)) == len(errors)
+        assert all(issubclass(error, LedgerError) for error in errors)
 
 
 def _entry_invariants(state):
@@ -187,13 +214,6 @@ def _entry_invariants(state):
         assert entry.taddr[0] == entry.creator
         assert entry.taddr[-1] == entry.owner
         assert entry.ttime == sorted(entry.ttime)
-
-
-def _state_snapshot(state):
-    return sorted(
-        (e.id.value, e.creator.value, e.owner.value, e.description,
-         tuple(a.value for a in e.taddr), tuple(e.ttime))
-        for e in state.evidences.values())
 
 
 class TestOracleEquivalence:
@@ -207,7 +227,7 @@ class TestOracleEquivalence:
             expected = reference.apply(tx, tx.issue_time)
             got = None if receipt.succeeded else receipt.reason.value
             assert got == expected
-            assert _state_snapshot(state) == reference.snapshot()
+            assert state_snapshot(state) == reference.snapshot()
         _entry_invariants(state)
 
     @given(st.integers(0, 2 ** 32), st.integers(10, 120))
@@ -218,3 +238,57 @@ class TestOracleEquivalence:
         for tx in random_ops(rng, n_ops):
             state.apply(tx, tx.issue_time)
             _entry_invariants(state)
+
+
+_ADDRS = st.sampled_from([Address.from_int(i) for i in range(1, 4)])
+_IDS = st.sampled_from([ZERO_ID] + [EvidenceId.from_int(i) for i in range(1, 4)])
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """LedgerState alone against NaiveLedger, one transaction per step.
+
+    Before each apply, validate must give the reference's verdict and
+    change nothing; apply must then give that verdict too.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.state, self.model = LedgerState(), NaiveLedger()
+        self.time = 0.0
+
+    def _check_and_apply(self, tx):
+        self.time += 1.0
+        before = state_snapshot(self.state)
+        reason = self.state.validate(tx)
+        assert state_snapshot(self.state) == before
+        expected = self.model.apply(tx, self.time)
+        assert (reason and reason.value) == expected
+        receipt = self.state.apply(tx, self.time)
+        assert receipt.reason is reason
+        assert receipt.gas_charged == tx.gas
+
+    @rule(issuer=_ADDRS, evidence_id=_IDS,
+          description=st.sampled_from(["", "d", "x" * 1024, "x" * 1025]))
+    def create(self, issuer, evidence_id, description):
+        # create_tx refuses an over-long description; the ledger must too
+        tx = create_tx(0, issuer, evidence_id, description[:1024], self.time)
+        self._check_and_apply(replace(tx, description=description))
+
+    @rule(issuer=_ADDRS, evidence_id=_IDS, new_owner=_ADDRS)
+    def transfer(self, issuer, evidence_id, new_owner):
+        self._check_and_apply(
+            transfer_tx(0, issuer, evidence_id, new_owner, self.time))
+
+    @rule(issuer=_ADDRS, evidence_id=_IDS)
+    def remove(self, issuer, evidence_id):
+        self._check_and_apply(remove_tx(0, issuer, evidence_id, self.time))
+
+    @invariant()
+    def matches_the_naive_ledger(self):
+        assert state_snapshot(self.state) == self.model.snapshot()
+        _entry_invariants(self.state)
+
+
+LedgerMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+TestLedgerMachine = LedgerMachine.TestCase

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import tempfile
 from pathlib import Path
@@ -9,16 +10,16 @@ from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
                                  multiple, rule)
 
 from custodysim import store as store_module
-from custodysim.ledger import (_REASON_BY_ERROR, Address,
-                               EvidenceAlreadyExists, EvidenceId,
-                               EvidenceNotFound, LedgerError, NotCreator,
-                               NotOwner, create_tx, remove_tx, transfer_tx)
+from custodysim.ledger import (REVERT_ERRORS, Address, EvidenceAlreadyExists,
+                               EvidenceId, EvidenceNotFound, LedgerError,
+                               NotCreator, NotOwner, RevertReason, create_tx,
+                               remove_tx, transfer_tx)
 from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
                               LocalLedgerClient, StoreError, generate_id,
                               open_custody)
 from crashes import Crash, crash_at
-from naive_ledger import NaiveLedger
+from naive_ledger import NaiveLedger, state_snapshot
 
 ALICE = Address.from_label("alice")
 BOB = Address.from_label("bob")
@@ -244,7 +245,8 @@ class TestSubmitEvidence:
         taken = EvidenceId(b"\x07" * 32)
         frontend = Frontend(store, LocalLedgerClient(), seed=1,
                             hash_func=lambda data: taken.value)
-        frontend.client.state.create_evidence(BOB, taken, "elsewhere", 0.0)
+        assert frontend.client.state.apply(
+            create_tx(0, BOB, taken, "elsewhere", 0.0), 0.0).succeeded
         with pytest.raises(EvidenceAlreadyExists):
             frontend.submit_evidence(ALICE, b"blob", "a")
         assert taken not in store
@@ -335,17 +337,10 @@ class TestTransferAndDiscard:
 
     def test_ledger_entry_without_blob_breaks_integrity(self, frontend):
         frontend.submit_evidence(ALICE, b"kept", "d")
-        frontend.client.state.create_evidence(
-            BOB, generate_id(b"elsewhere", 0), "no blob here", 0.0)
+        assert frontend.client.state.apply(create_tx(
+            0, BOB, generate_id(b"elsewhere", 0), "no blob here", 0.0),
+            0.0).succeeded
         assert not frontend.check_referential_integrity()
-
-
-def _snapshot(client):
-    """The ledger in NaiveLedger.snapshot's form."""
-    return sorted(
-        (e.id.value, e.creator.value, e.owner.value, e.description,
-         tuple(a.value for a in e.taddr), tuple(e.ttime))
-        for e in client.state.evidences.values())
 
 
 class TestLedgerJournal:
@@ -358,12 +353,12 @@ class TestLedgerJournal:
             frontend.discard_evidence(BOB, b)
             with pytest.raises(NotOwner):  # reverts, so writes no line
                 frontend.transfer_evidence(ALICE, a, CAROL)
-            before = _snapshot(frontend.client)
+            before = state_snapshot(frontend.client.state)
         journal = tmp_path / "ledger.jsonl"
         assert journal.read_bytes().isascii()
         assert len(journal.read_bytes().splitlines()) == 4
         with open_custody(tmp_path) as frontend:
-            assert _snapshot(frontend.client) == before
+            assert state_snapshot(frontend.client.state) == before
             assert frontend.client.get_entry(a).description == description
             assert frontend.client.now() == 4.0
             frontend.transfer_evidence(BOB, a, CAROL)
@@ -371,7 +366,7 @@ class TestLedgerJournal:
         journal.write_bytes(whole[:-20])  # the transfer's append was cut
         with open_custody(tmp_path) as frontend:
             assert journal.read_bytes() == whole[:whole.rindex(b"{")]
-            assert _snapshot(frontend.client) == before
+            assert state_snapshot(frontend.client.state) == before
             frontend.transfer_evidence(BOB, a, ALICE)
             assert frontend.client.now() == 5.0
         with open_custody(tmp_path) as frontend:
@@ -408,11 +403,30 @@ def test_failed_ledger_append_leaves_no_trace(tmp_path, tear):
         assert frontend.client.evidence_ids() == [kept]
         frontend.transfer_evidence(ALICE, kept, BOB)
         frontend.submit_evidence(BOB, b"later", "")
-        before = _snapshot(frontend.client)
+        before = state_snapshot(frontend.client.state)
     with open_custody(tmp_path) as frontend:
-        assert _snapshot(frontend.client) == before
+        assert state_snapshot(frontend.client.state) == before
         assert frontend.check_referential_integrity()
         assert frontend.verify() == []
+
+
+def test_full_disk_on_ledger_append_removes_the_blob(tmp_path, monkeypatch):
+    # unlike a crash, a failed append leaves the process running
+    real = store_module._append_line
+
+    def append(path, line):
+        if path.name == store_module.LEDGER:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(path, line)
+
+    monkeypatch.setattr(store_module, "_append_line", append)
+    with open_custody(tmp_path) as frontend:
+        with pytest.raises(OSError):
+            frontend.submit_evidence(ALICE, b"lost", "")
+        assert frontend.client.evidence_ids() == []
+        assert frontend.check_referential_integrity()
+        assert frontend.verify() == []
+        assert not list(tmp_path.glob("*.bin"))
 
 
 _USERS = st.sampled_from([ALICE, BOB, CAROL])
@@ -475,7 +489,9 @@ class CustodyMachine(RuleBasedStateMachine):
             run()
             reason = None
         except LedgerError as err:
-            reason = _REASON_BY_ERROR[type(err)].value
+            reason = RevertReason(str(err))
+            assert type(err) is REVERT_ERRORS[reason]
+            reason = reason.value
         assert self.model.apply(tx(None), self.frontend.client.now()) == reason
 
     @rule(target=ids, kind=st.sampled_from(["create", "transfer", "discard"]),
@@ -502,7 +518,7 @@ class CustodyMachine(RuleBasedStateMachine):
 
     @invariant()
     def matches_the_naive_ledger(self):
-        assert _snapshot(self.frontend.client) == self.model.snapshot()
+        assert state_snapshot(self.frontend.client.state) == self.model.snapshot()
 
     @invariant()
     def store_and_ledger_agree(self):
