@@ -44,8 +44,7 @@ from typing import Callable, Iterator, Optional
 
 from .ledger import (REVERT_ERRORS, Address, EvidenceEntry, EvidenceId,
                      EvidenceNotFound, LedgerError, LedgerState, NotOwner,
-                     Receipt, Transaction, TxKind, create_tx, remove_tx,
-                     transfer_tx)
+                     Transaction, TxKind, create_tx, remove_tx, transfer_tx)
 
 LEDGER = "ledger.jsonl"
 _BLOB_FILE = re.compile(r"[0-9a-f]{64}\.bin")
@@ -231,12 +230,12 @@ class LocalLedgerClient:
         self._apply(tx, time)
         self._uid = tx.uid
 
-    def submit(self, tx: Transaction, time: Optional[float] = None) -> Receipt:
+    def submit(self, tx: Transaction, time: Optional[float] = None) -> None:
         """Commit tx at the given ledger time, by default one past the
         last, and journal it. A revert journals nothing and raises, but
         still moves the clock on."""
         time = self._time + 1.0 if time is None else time
-        receipt = self._apply(tx, time)
+        self._apply(tx, time)
         if self.journal is not None:
             record = {"uid": tx.uid, "time": time, "kind": tx.kind.value,
                       "issuer": tx.issuer.hex, "id": tx.evidence_id.hex}
@@ -249,14 +248,12 @@ class LocalLedgerClient:
             except BaseException:
                 self._load()  # memory must hold what the journal holds
                 raise
-        return receipt
 
-    def _apply(self, tx: Transaction, time: float) -> Receipt:
+    def _apply(self, tx: Transaction, time: float) -> None:
         self._time = time
-        receipt = self.state.apply(tx, time)
-        if not receipt.succeeded:
-            raise REVERT_ERRORS[receipt.reason](receipt.reason.value)
-        return receipt
+        reason = self.state.apply(tx, time).reason
+        if reason is not None:
+            raise REVERT_ERRORS[reason](reason.value)
 
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry:
         return self.state.get_evidence(evidence_id)
