@@ -3,17 +3,18 @@
 Covers block inclusion and consensus latency, maximum block size (both
 the knapsack oracle and its closed form), header overhead, chain growth
 rate, and the lower/upper-bound procedure for choosing the block gas
-limit.
+limit. A `Catalog` of transaction types holds what block-size queries on
+it share: its dominant type and a knapsack table grown on demand.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ledger
 from .blocks import HEADER_SIZE
@@ -63,10 +64,65 @@ def create_type(length: int) -> TxType:
                   ledger.create_gas(length))
 
 
-def standard_catalog() -> tuple:
+_UNREACHABLE = 2 ** 62   # min-gas of a byte total that no types sum to
+_BLOCK = 32              # widest block of table entries filled at once
+
+
+class Catalog(tuple):
+    """Immutable sequence of transaction types with what knapsack queries on
+    it share: the dominant type, the best size/gas ratio, the largest size
+    and a min-gas table grown by `min_gas`. Catalog(c) of a Catalog is c."""
+
+    def __new__(cls, types: Iterable[TxType]):
+        if isinstance(types, Catalog):
+            return types
+        self = super().__new__(cls, types)
+        if not self:
+            raise ValueError("catalog cannot be empty")
+        self.dominant = next((k for k in self if all(
+            j is k or math.ceil(j.size / k.size) * k.gas <= j.gas
+            for j in self)), None)
+        self.best_ratio = max(t.size / t.gas for t in self)
+        self.max_size = max(t.size for t in self)
+        sizes = np.array([t.size for t in self], dtype=np.int64)
+        self._gas = np.array([t.gas for t in self], dtype=np.int64)[:, None]
+        # entry v sits at index max_size + v, after a pad for v - size < 0,
+        # so window row _rows[i] + lo starts at entry lo - size_i
+        self._rows = self.max_size - sizes
+        self._width = min(_BLOCK, int(sizes.min()))
+        self._table = np.full(self.max_size + 1, _UNREACHABLE, np.int64)
+        self._table[-1] = 0
+        self._filled = 1
+        return self
+
+    def min_gas(self, vmax: int) -> np.ndarray:
+        """Read-only view of the least gas that fills exactly v bytes, for
+        v = 0..vmax, and _UNREACHABLE where no types sum to v bytes.
+
+        Fills min_gas[v] = min_i(min_gas[v - size_i] + gas_i) in blocks no
+        wider than the smallest size, so a block reads only finished
+        entries, each block in one gather-add-min over items x width.
+        """
+        pad, width = self.max_size, self._width
+        if vmax >= self._filled:
+            size = pad + vmax + width
+            if size > len(self._table):   # its filler past _filled is unread
+                self._table = np.resize(self._table, 2 * size)
+            window = sliding_window_view(self._table, width)
+            for lo in range(self._filled, vmax + 1, width):
+                best = (window[self._rows + lo] + self._gas).min(axis=0)
+                np.minimum(best, _UNREACHABLE,
+                           out=self._table[pad + lo: pad + lo + width])
+            self._filled = lo + width
+        view = self._table[pad: pad + vmax + 1]
+        view.flags.writeable = False
+        return view
+
+
+def standard_catalog() -> Catalog:
     """All transaction types: transfer, remove, create(0)..create(1024)."""
-    return (TRANSFER, REMOVE) + tuple(
-        create_type(l) for l in range(ledger.MAX_DESCRIPTION_LEN + 1))
+    return Catalog((TRANSFER, REMOVE) + tuple(
+        create_type(l) for l in range(ledger.MAX_DESCRIPTION_LEN + 1)))
 
 
 # -- latency -----------------------------------------------------------
@@ -109,6 +165,8 @@ def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
 
 def max_block_size_closed_form(gas_limit: int, catalog: Sequence[TxType]) -> int:
     """Header plus as many copies of the dominant type as the gas allows."""
+    if gas_limit < 0:
+        raise ValueError("gas limit cannot be negative")
     dominant = dominance_check(catalog)
     if dominant is None:
         raise AnalyticsError(
@@ -119,41 +177,19 @@ def max_block_size_closed_form(gas_limit: int, catalog: Sequence[TxType]) -> int
 def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
     """Exact unbounded-knapsack optimum (value = size, weight = gas).
 
-    Runs the DP over the value axis: minimal gas for every achievable
-    byte total, then the largest total whose gas fits. Equivalent to the
-    classic capacity-axis table but tractable for gas limits in the
-    millions.
+    Runs the DP over the value axis: the largest byte total whose entry
+    in the catalog's min-gas table fits the capacity. The table does not
+    depend on the capacity, so all queries on one Catalog share it, and a
+    plain sequence gets a throwaway Catalog. Equivalent to the classic
+    capacity-axis table but tractable for gas limits in the millions.
     """
     if capacity < 0:
         raise ValueError("capacity cannot be negative")
     if not items:
         return 0
-    best_ratio = max(it.size / it.gas for it in items)
-    vmax = int(capacity * best_ratio) + max(it.size for it in items) + 1
-    # the min-gas table is capacity-independent, so build it once per
-    # (items, power-of-two length) and reuse it across queries
-    min_gas = _min_gas_table(tuple(items), 1 << vmax.bit_length())
-    achievable = np.nonzero(min_gas[: vmax + 1] <= capacity)[0]
-    return int(achievable.max()) if achievable.size else 0
-
-
-@functools.lru_cache(maxsize=8)
-def _min_gas_table(items: tuple, length: int) -> np.ndarray:
-    """min_gas[v] = least gas achieving exactly v bytes, for v < length."""
-    sentinel = np.int64(2 ** 62)
-    min_gas = np.full(length, sentinel, dtype=np.int64)
-    min_gas[0] = 0
-    for it in items:
-        s, g = it.size, it.gas
-        pad = (-length) % s
-        table = np.concatenate([min_gas, np.full(pad, sentinel, dtype=np.int64)])
-        table = table.reshape(-1, s)                  # row q holds values q*s+r
-        q = np.arange(table.shape[0], dtype=np.int64)[:, None]
-        shifted = table - q * g
-        np.minimum.accumulate(shifted, axis=0, out=shifted)
-        table = shifted + q * g
-        min_gas = table.reshape(-1)[:length]
-    return min_gas
+    catalog = Catalog(items)
+    vmax = int(capacity * catalog.best_ratio) + catalog.max_size + 1
+    return int(np.flatnonzero(catalog.min_gas(vmax) <= capacity)[-1])
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType],
@@ -173,18 +209,7 @@ def dominance_check(catalog: Sequence[TxType]) -> Optional[TxType]:
     any J in a block can then be swapped for copies of K without losing
     bytes or gaining gas, so optimal blocks contain only K.
     """
-    if not catalog:
-        raise ValueError("catalog cannot be empty")
-    return _dominance_cached(tuple(catalog))
-
-
-@functools.lru_cache(maxsize=64)
-def _dominance_cached(catalog: tuple) -> Optional[TxType]:
-    for k in catalog:
-        if all(j is k or math.ceil(j.size / k.size) * k.gas <= j.gas
-               for j in catalog):
-            return k
-    return None
+    return Catalog(catalog).dominant
 
 
 def gas_limit_range_for_max_size(max_size: int,

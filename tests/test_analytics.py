@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from custodysim import analytics
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
-                                  CapacityTooLargeForExactDP, ChainParams,
+                                  CapacityTooLargeForExactDP, Catalog,
+                                  ChainParams,
                                   GasRateSummary, InvalidBounds,
                                   InvalidMaxSize, MIB, TxType, YEAR_SECONDS,
                                   annual_growth_table,
@@ -112,6 +114,11 @@ class TestMaxBlockSize:
         with pytest.raises(CapacityTooLargeForExactDP):
             max_block_size_ukp(10 ** 9, catalog, capacity_cap=10 ** 8)
 
+    def test_negative_gas_limit_rejected(self, catalog):
+        for solver in (max_block_size_closed_form, max_block_size_ukp):
+            with pytest.raises(ValueError, match="cannot be negative"):
+                solver(-1, catalog)
+
     def test_value_dp_matches_dense_dp_small_capacities(self):
         items = (TxType("a", 7, 3), TxType("b", 5, 4), TxType("c", 9, 5))
         for cap in range(0, 60):
@@ -122,6 +129,51 @@ class TestMaxBlockSize:
         small = (TRANSFER, REMOVE, create_type(0), create_type(1024))
         for cap in [rng.randrange(500_000) for _ in range(5)]:
             assert ukp_max_value(cap, small) == ukp_max_value_dense(cap, small)
+
+
+
+tx_types = st.lists(st.builds(TxType, st.just("t"), st.integers(1, 30),
+                              st.integers(1, 50)), min_size=1, max_size=6)
+
+
+class TestCatalogTable:
+    """The min-gas table a Catalog grows on demand, in blocks as wide as
+    its smallest size (capped), against the dense capacity-axis oracle."""
+
+    @given(st.integers(1, 50), tx_types,
+           st.lists(st.integers(0, 300), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_reused_catalog_matches_dense_dp(self, unit_gas, types,
+                                             capacities):
+        items = (TxType("unit", 1, unit_gas), *types)   # blocks 1 wide
+        catalog = Catalog(items)
+        for cap in capacities + sorted(capacities, reverse=True):
+            assert ukp_max_value(cap, catalog) == ukp_max_value_dense(cap, items)
+
+    @given(tx_types, st.lists(st.integers(0, 400), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_table_grown_in_steps_equals_one_build(self, items, steps):
+        stepped, whole = Catalog(items), Catalog(items)
+        for vmax in sorted(steps):
+            stepped.min_gas(vmax)
+        vmax = max(steps)
+        assert np.array_equal(stepped.min_gas(vmax), whole.min_gas(vmax))
+
+    def test_odd_totals_of_even_sizes_stay_unreachable(self):
+        items = (TxType("a", 2, 300), TxType("b", 8, 1100),
+                 TxType("c", 30, 4000))
+        catalog, cap = Catalog(items), 10 ** 6
+        assert catalog.dominant is None
+        best = max(nc * 30 + nb * 8 + (cap - nc * 4000 - nb * 1100) // 300 * 2
+                   for nc in range(cap // 4000 + 1)
+                   for nb in range((cap - nc * 4000) // 1100 + 1))
+        assert ukp_max_value(cap, catalog) == best
+        odd = catalog.min_gas(best)[1::2]
+        assert odd.min() > cap and np.unique(odd).size == 1
+
+    def test_table_view_is_read_only(self, catalog):
+        with pytest.raises(ValueError):
+            catalog.min_gas(10)[0] = 1
 
 
 class TestDominance:

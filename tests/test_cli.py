@@ -218,6 +218,12 @@ class TestAnalyze:
         assert code == 0
         assert "0 mismatches" in out
 
+    def test_ukp_check_at_the_solver_cap(self, capsys):
+        code, out, _ = _run(capsys, "analyze", "ukp-check",
+                            "--samples", "5", "--max-gas", "100000000")
+        assert code == 0
+        assert "0 mismatches" in out
+
     @pytest.mark.parametrize("argv", [
         ["plan-gas-limit", "--max-gas-rate", "100000", "--avg-gas-rate",
          "50000", "--max-consensus-latency", "0.01", "--bandwidth", "0"],
