@@ -22,7 +22,6 @@ from .config import ChainParams
 from .consensus import COMMIT_SIZE, PREPARE_SIZE, PREPREPARE_OVERHEAD
 
 MIB = 2 ** 20
-GIB = 2 ** 30
 YEAR_SECONDS = 365 * 24 * 3600
 
 
@@ -64,6 +63,7 @@ def create_type(length: int) -> TxType:
                   ledger.create_gas(length))
 
 
+_UKP_CAP = 100_000_000   # largest gas limit the exact solver takes
 _UNREACHABLE = 2 ** 62   # min-gas of a byte total that no types sum to
 _BLOCK = 32              # widest block of table entries filled at once
 
@@ -144,6 +144,8 @@ def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
     """Largest gas limit whose fullest block (header plus k transfers, the
     dominant type) commits within max_latency.
 
+    Assumes TRANSFER dominates the standard catalog, as TestDominance::
+    test_transfer_dominates_full_catalog checks.
     Raises AnalyticsError when even a header-only block misses the target.
     """
     floor = consensus_latency(HEADER_SIZE, params)
@@ -155,9 +157,7 @@ def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
         - PREPARE_SIZE - COMMIT_SIZE
     # max: at the floor itself, int() may round the byte budget down by one
     k = max(0, budget - HEADER_SIZE) // TRANSFER.size
-    _, upper = gas_limit_range_for_max_size(HEADER_SIZE + k * TRANSFER.size,
-                                            standard_catalog())
-    return upper
+    return (k + 1) * TRANSFER.gas - 1
 
 
 # -- maximum block size ------------------------------------------------
@@ -192,13 +192,12 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
     return int(np.flatnonzero(catalog.min_gas(vmax) <= capacity)[-1])
 
 
-def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType],
-                       capacity_cap: int = 100_000_000) -> int:
+def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType]) -> int:
     """Maximum block size via the exact knapsack solver."""
-    if gas_limit > capacity_cap:
+    if gas_limit > _UKP_CAP:
         raise CapacityTooLargeForExactDP(
             f"gas limit {gas_limit} exceeds the exact-solver cap "
-            f"{capacity_cap}; use the closed form")
+            f"{_UKP_CAP}; use the closed form")
     return HEADER_SIZE + ukp_max_value(gas_limit, catalog)
 
 
@@ -275,6 +274,8 @@ def plan_gas_limit(max_rate_bound: int, avg_rate_bound: int,
     the average-rate lower bound; the limit is never set below it, since
     that makes transaction latency grow without bound.
     """
+    if min(max_rate_bound, avg_rate_bound, latency_bound) < 0:
+        raise InvalidBounds("gas bounds cannot be negative")
     if avg_rate_bound > max_rate_bound:
         raise InvalidBounds(
             f"average gas rate {avg_rate_bound} exceeds peak {max_rate_bound}")
@@ -336,7 +337,8 @@ def annual_multiset(n: int) -> list:
             (TRANSFER, 10 * n)]
 
 
-def annual_growth_row(n: int, period: float = 300.0) -> GrowthReportRow:
+def annual_growth_row(n: int,
+                      period: float = ChainParams.period) -> GrowthReportRow:
     """Growth over one year for n creations/removals and 10n transfers."""
     multiset = annual_multiset(n)
     content = sum(t.size * c for t, c in multiset)
@@ -347,7 +349,7 @@ def annual_growth_row(n: int, period: float = 300.0) -> GrowthReportRow:
 
 
 def annual_growth_table(
-        period: float = 300.0,
+        period: float = ChainParams.period,
         workloads: Sequence[int] = (10_000, 100_000, 1_000_000)) -> list:
     return [annual_growth_row(n, period) for n in workloads]
 

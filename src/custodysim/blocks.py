@@ -63,8 +63,8 @@ def block_digest(block: Block) -> bytes:
     return h.digest()
 
 
-def genesis_digest(chain_tag: bytes = b"genesis") -> bytes:
-    return hashlib.sha256(chain_tag).digest()
+def genesis_digest() -> bytes:
+    return hashlib.sha256(b"genesis").digest()
 
 
 class Mempool:

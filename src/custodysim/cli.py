@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import random
 import sys
 from concurrent import futures
@@ -15,8 +16,8 @@ from pathlib import Path
 
 from . import analytics, workload
 from .analytics import MIB, AnalyticsError, standard_catalog
-from .config import (ChainParams, ConfigError, ExperimentConfig, build_config,
-                     parse_byzantine, read_config_file)
+from .config import (FAULT_KINDS, ChainParams, ConfigError, ExperimentConfig,
+                     finite_float, parse_value, read_config_file)
 from .ledger import Address, EvidenceId, LedgerError
 from .simulation import run_experiment
 from .store import StoreError, open_custody
@@ -60,9 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_sim_flags(sweep_p)
     sweep_p.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
-                         help="parameter to sweep, e.g. gas-limit=161004,805020")
-    sweep_p.add_argument("--parallel-sweep", action="store_true",
-                         help="run the sweep configurations concurrently")
+                         help="config-file key to sweep, one run per value "
+                              "on a process pool, e.g. gas-limit=161004,805020")
     sweep_p.set_defaults(func=cmd_sim_sweep)
 
     # analyze ---------------------------------------------------------
@@ -73,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "table2", help="annual growth for 10k/100k/1M yearly creations",
         description="CSV columns: workload_n, content_mib, total_mib, "
                     "overhead_pct (MiB units).")
-    t2.add_argument("--period", type=float, default=300.0,
-                    help="block period in seconds (default 300)")
+    t2.add_argument("--period", type=finite_float, default=ChainParams.period,
+                    help="block period in seconds (default %(default)s)")
     t2.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     t2.set_defaults(func=cmd_analyze_table2)
 
@@ -96,10 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group = plan.add_mutually_exclusive_group(required=True)
     group.add_argument("--upper-bound", type=int,
                        help="gas-limit upper bound, given directly")
-    group.add_argument("--max-consensus-latency", type=float,
+    group.add_argument("--max-consensus-latency", type=finite_float,
                        help="derive the upper bound from this latency target (s)")
-    plan.add_argument("--bandwidth", type=float, default=1_000_000.0,
-                      help="slowest-link bandwidth, bytes/s (default 1e6)")
+    plan.add_argument("--bandwidth", type=finite_float,
+                      default=ChainParams.bandwidth,
+                      help="slowest-link bandwidth, bytes/s (default %(default)s)")
     plan.set_defaults(func=cmd_analyze_plan)
 
     ukp = ana_sub.add_parser(
@@ -157,18 +158,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config keys that are also sim flags -> help; parse_value parses each
+# flag's text as it parses the same key's value in a config file
+_SIM_FLAGS = {
+    "seed": None,
+    "period": "block period T in seconds",
+    "gas_limit": None,
+    "validators": None,
+    "byzantine": f"faults IDX:KIND[,..], KIND: {' | '.join(FAULT_KINDS)}",
+    "periods": "number of issue periods",
+    "bandwidth": None,
+    "round_timeout": None,
+}
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key = value config file")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, help="metrics CSV path")
-    p.add_argument("--period", type=float, help="block period T in seconds")
-    p.add_argument("--gas-limit", type=int)
-    p.add_argument("--validators", type=int)
-    p.add_argument("--byzantine", metavar="IDX:BEHAVIOR[,..]",
-                   help="fault spec, behaviors: silent | equivocate")
-    p.add_argument("--periods", type=int, help="number of issue periods")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--round-timeout", type=float)
+    for key, help_ in _SIM_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=help_)
     p.add_argument("--workload", default="rate:2",
                    help="'rate:N' transfers per period or 'ramp:START:END' "
                         "gas per period (default rate:2)")
@@ -179,17 +187,9 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     file_values = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "seed": args.seed,
-        "period": args.period,
-        "gas_limit": args.gas_limit,
-        "validators": args.validators,
-        "periods": args.periods,
-        "bandwidth": args.bandwidth,
-        "round_timeout": args.round_timeout,
-        "byzantine": parse_byzantine(args.byzantine) if args.byzantine else None,
-    }
-    return build_config(file_values, overrides)
+    overrides = {key: parse_value(key, getattr(args, key)) for key in _SIM_FLAGS
+                 if getattr(args, key) is not None}
+    return ExperimentConfig(**{**file_values, **overrides})
 
 
 def _workload_from_spec(spec: str, config: ExperimentConfig) -> list:
@@ -245,36 +245,31 @@ def cmd_sim_sweep(args) -> int:
     base = _config_from_args(args)
     key, _, values = args.sweep.partition("=")
     key = key.replace("-", "_")
-    if not values or key not in base.__dict__:
+    if not values or key not in ExperimentConfig.__dataclass_fields__:
         raise ConfigError(f"bad sweep spec {args.sweep!r}")
-    try:
-        parsed = [int(v) if v.isdigit() else float(v) for v in values.split(",")]
-    except ValueError as err:
-        raise ConfigError(f"bad sweep values in {args.sweep!r}") from err
-    configs = [ExperimentConfig(**{**base.__dict__, key: v}) for v in parsed]
+    # each value is printed as typed, and parsed as in a config file
+    texts = [v.strip() for v in values.split(",")]
+    configs = [ExperimentConfig(**{**vars(base), key: parse_value(key, text)})
+               for text in texts]
+    with futures.ProcessPoolExecutor(
+            max_workers=min(len(configs), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(_sweep_task, configs,
+                                [args.workload] * len(configs)))
 
-    if args.parallel_sweep:
-        with futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_sweep_task,
-                                    [(cfg, args.workload) for cfg in configs]))
-    else:
-        results = [_sweep_task((cfg, args.workload)) for cfg in configs]
-
-    for value, result in zip(parsed, results):
+    for text, result in zip(texts, results):
         if args.out:
-            path = args.out.with_name(f"{args.out.stem}_{key}_{value}{args.out.suffix}")
+            path = args.out.with_name(f"{args.out.stem}_{key}_{text}{args.out.suffix}")
             _write_metrics(result.rows, path)
             where = str(path)
         else:
             where = "-"
-        print(f"{key}={value}: periods={result.periods_elapsed} "
+        print(f"{key}={text}: periods={result.periods_elapsed} "
               f"min_height={min(result.chain_lengths[i] for i in result.honest)} "
               f"metrics={where}")
     return 0
 
 
-def _sweep_task(item):
-    cfg, spec = item
+def _sweep_task(cfg: ExperimentConfig, spec: str):
     return run_experiment(cfg, _workload_from_spec(spec, cfg))
 
 

@@ -5,11 +5,13 @@ simulator and the closed-form models alike; ``ExperimentConfig`` adds
 the settings of one run. Both validate on construction. Header, genesis
 and message sizes are constants in ``blocks`` and ``consensus``.
 
-Config-file keys mirror the CLI flag names with dashes replaced by
-underscores; explicit CLI flags always win over file values.
+Config-file keys are the ``ExperimentConfig`` fields and mirror the CLI
+flag names with dashes replaced by underscores; explicit CLI flags
+always win over file values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -23,6 +25,7 @@ class ConfigError(ValueError):
 
 SILENT = "silent"
 EQUIVOCATE = "equivocate"
+FAULT_KINDS = (SILENT, EQUIVOCATE)   # the Byzantine behaviours a run can inject
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,13 @@ class ChainParams:
 @dataclass(frozen=True)
 class ExperimentConfig(ChainParams):
     validators: int = 4
-    byzantine: tuple = ()  # ((index, "silent"|"equivocate"), ...)
+    byzantine: tuple = ()  # ((index, kind in FAULT_KINDS), ...)
     base_delay: float = 0.0
     jitter: float = 0.0
     round_timeout: Optional[float] = None  # default: 2 * period
     seed: int = 0
     periods: int = 100
     drain: bool = True
-    max_drain_periods: int = 1000
     reject_invalid_at_mempool: bool = False
 
     def validate(self) -> None:
@@ -71,18 +73,25 @@ class ExperimentConfig(ChainParams):
         for idx, kind in self.byzantine:
             if not 0 <= idx < self.validators:
                 raise ConfigError(f"byzantine index {idx} out of range")
-            if kind not in (SILENT, EQUIVOCATE):
+            if kind not in FAULT_KINDS:
                 raise ConfigError(f"unknown byzantine behavior {kind!r}")
-        if self.byzantine:
-            f = max_faulty(self.validators)
-            if len(self.byzantine) > f:
-                raise ConfigError(
-                    f"{len(self.byzantine)} faulty validators exceeds the "
-                    f"tolerated f={f} for n={self.validators}")
+        f = max_faulty(self.validators)
+        if len(self.byzantine) > f:
+            raise ConfigError(
+                f"{len(self.byzantine)} faulty validators exceeds the "
+                f"tolerated f={f} for n={self.validators}")
 
     @property
     def effective_round_timeout(self) -> float:
         return self.round_timeout or 2.0 * self.period
+
+
+def finite_float(text: str) -> float:
+    """A float other than nan and +-inf, which no setting can take."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -94,37 +103,42 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, not {text!r}")
 
 
-_FIELD_PARSERS = {
-    "period": float,
-    "gas_limit": int,
-    "validators": int,
-    "bandwidth": float,
-    "base_delay": float,
-    "jitter": float,
-    "round_timeout": float,
-    "seed": int,
-    "periods": int,
-    "drain": _parse_bool,
-    "reject_invalid_at_mempool": _parse_bool,
-    "byzantine": lambda s: parse_byzantine(s),
-}
-
-
 def parse_byzantine(spec: str) -> tuple:
-    """Parse ``IDX:BEHAVIOR[,IDX:BEHAVIOR...]``, e.g. ``1:silent,2:equivocate``."""
+    """Parse ``IDX:KIND[,IDX:KIND...]``; ExperimentConfig checks each KIND."""
     if not spec.strip():
         return ()
     out = []
     for part in spec.split(","):
-        try:
-            idx, kind = part.strip().split(":")
-            idx = int(idx)
-        except ValueError as err:
-            raise ConfigError(f"bad byzantine entry {part!r}") from err
-        if kind not in (SILENT, EQUIVOCATE):
-            raise ConfigError(f"unknown byzantine behavior {kind!r}")
-        out.append((idx, kind))
+        idx, kind = part.strip().split(":")
+        out.append((int(idx), kind))
     return tuple(out)
+
+
+_FIELD_PARSERS = {
+    "period": finite_float,
+    "gas_limit": int,
+    "validators": int,
+    "bandwidth": finite_float,
+    "base_delay": finite_float,
+    "jitter": finite_float,
+    "round_timeout": finite_float,
+    "seed": int,
+    "periods": int,
+    "drain": _parse_bool,
+    "reject_invalid_at_mempool": _parse_bool,
+    "byzantine": parse_byzantine,
+}
+
+
+def parse_value(key: str, text: str):
+    """The value of setting ``key`` spelled ``text`` in a config file, a
+    ``sim`` flag or a sweep; ranges are ExperimentConfig.validate's job."""
+    if key not in _FIELD_PARSERS:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return _FIELD_PARSERS[key](text)
+    except ValueError as err:
+        raise ConfigError(f"bad value for {key}: {text!r}") from err
 
 
 def read_config_file(path: Path) -> dict:
@@ -137,22 +151,8 @@ def read_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}") from err
+            values[key] = parse_value(key, value)
+        except ConfigError as err:
+            raise ConfigError(f"{path}:{lineno}: {err}") from err
     return values
-
-
-def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
-    """Merge file values with CLI overrides (overrides win)."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err

@@ -19,6 +19,8 @@ from .consensus import ConsensusMessage, MsgType, Validator, wire_size
 from .ledger import LedgerState, Transaction
 from .netsim import LinkModel, Network, Scheduler
 
+MAX_DRAIN_PERIODS = 1000   # most periods a run drains for after the last issue
+
 
 @dataclass
 class MetricsRow:
@@ -226,7 +228,7 @@ class Simulation:
 
         period = 0          # index of the period whose block is next due
         boundary = cfg.period
-        max_periods = cfg.periods + (cfg.max_drain_periods if cfg.drain else 0)
+        max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)
         while True:
             self.scheduler.run_until(boundary)
             self._periods_elapsed = period + 1

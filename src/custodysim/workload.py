@@ -1,17 +1,18 @@
 """Synthetic workload generation for simulations.
 
-Issue times are uniform within each block period (with a small end-of-
-period margin so transactions can reach every mempool before the period
-closes). All draws come from a seeded generator.
+Issue times are uniform within each block period, less its last
+``MARGIN`` share, so transactions can reach every mempool before the
+period closes. All draws come from a seeded generator.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-# annual_multiset is re-exported: tests import it from here
-from .analytics import annual_multiset
 from .ledger import Address, EvidenceId, TRANSFER_GAS, transfer_tx
+
+
+MARGIN = 0.01   # share of each period at its end in which nothing is issued
 
 
 class InvalidSpec(Exception):
@@ -36,9 +37,9 @@ class RampSpec:
 
 
 def _uniform_times(rng: random.Random, period_index: int, period: float,
-                   count: int, margin: float) -> list:
+                   count: int) -> list:
     start = period_index * period
-    width = period * (1.0 - margin)
+    width = period * (1.0 - MARGIN)
     return sorted(start + rng.random() * width for _ in range(count))
 
 
@@ -50,29 +51,26 @@ def _random_id(rng: random.Random) -> EvidenceId:
     return EvidenceId(rng.getrandbits(256).to_bytes(32, "big"))
 
 
-def _transfer_workload(counts: list, seed: int, period: float,
-                       margin: float) -> list:
+def _transfer_workload(counts: list, seed: int, period: float) -> list:
     """Transfers, counts[p] of them at uniform times within period p."""
     rng = random.Random(seed)
     txs = []
     for p, count in enumerate(counts):
-        for t in _uniform_times(rng, p, period, count, margin):
+        for t in _uniform_times(rng, p, period, count):
             txs.append(transfer_tx(len(txs) + 1, _random_address(rng),
                                    _random_id(rng), _random_address(rng), t))
     return txs
 
 
-def constant_rate_workload(spec: RateSpec, seed: int, period: float,
-                           margin: float = 0.01) -> list:
+def constant_rate_workload(spec: RateSpec, seed: int, period: float) -> list:
     """Transfer transactions at a fixed per-period count."""
     if spec.tx_per_period < 0 or spec.periods <= 0:
         raise InvalidSpec("counts must be non-negative, duration positive")
     return _transfer_workload([spec.tx_per_period] * spec.periods, seed,
-                              period, margin)
+                              period)
 
 
-def ramp_workload(spec: RampSpec, seed: int, period: float,
-                  margin: float = 0.01) -> list:
+def ramp_workload(spec: RampSpec, seed: int, period: float) -> list:
     """Transfers whose per-period gas tracks a linear ramp.
 
     The per-period count is the ramp target divided by the transfer gas
@@ -88,5 +86,5 @@ def ramp_workload(spec: RampSpec, seed: int, period: float,
         frac = p / (spec.periods - 1) if spec.periods > 1 else 1.0
         target = spec.start_gas_per_period + frac * span
         counts.append(int(target // TRANSFER_GAS))
-    return _transfer_workload(counts, seed, period, margin)
+    return _transfer_workload(counts, seed, period)
 

@@ -112,7 +112,7 @@ class TestMaxBlockSize:
 
     def test_capacity_cap(self, catalog):
         with pytest.raises(CapacityTooLargeForExactDP):
-            max_block_size_ukp(10 ** 9, catalog, capacity_cap=10 ** 8)
+            max_block_size_ukp(10 ** 9, catalog)
 
     def test_negative_gas_limit_rejected(self, catalog):
         for solver in (max_block_size_closed_form, max_block_size_ukp):
@@ -178,6 +178,7 @@ class TestCatalogTable:
 
 class TestDominance:
     def test_transfer_dominates_full_catalog(self, catalog):
+        # latency_gas_bound counts transfers alone on this assumption
         assert dominance_check(catalog) is TRANSFER
 
     def test_single_kind_dominates_itself(self):
@@ -295,6 +296,12 @@ class TestPlanGasLimit:
     def test_invalid_bounds(self):
         with pytest.raises(InvalidBounds):
             plan_gas_limit(100, 200, 300)
+
+    @pytest.mark.parametrize("bounds", [(-5, -10, -20), (100, 50, -1),
+                                        (100, -1, 200)])
+    def test_negative_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidBounds, match="cannot be negative"):
+            plan_gas_limit(*bounds)
 
 
 class TestGasRate:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import custodysim
-from custodysim.cli import METRICS_COLUMNS, main
-from custodysim.config import (_FIELD_PARSERS, ExperimentConfig,
+from custodysim import simulation
+from custodysim.cli import METRICS_COLUMNS, _build_parser, main
+from custodysim.config import (_FIELD_PARSERS, FAULT_KINDS, ExperimentConfig,
                                read_config_file)
 from custodysim.ledger import EvidenceId
 from custodysim.store import EvidenceStore, open_custody
@@ -84,11 +86,36 @@ class TestSimRun:
         assert code == 2
         assert "config error: round timeout must be positive" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--periods", "x", "bad value for periods: 'x'"),
+        ("--validators", "4.5", "bad value for validators: '4.5'"),
+        ("--period", "inf", "bad value for period: 'inf'"),
+        ("--byzantine", "1:bogus", "unknown byzantine behavior 'bogus'"),
+        ("--byzantine", "1:silent,one", "bad value for byzantine: '1:silent,one'"),
+    ])
+    def test_bad_flag_value_exits_2(self, flag, value, message, capsys):
+        code, out, err = _run(capsys, "sim", "run", "--periods", "3",
+                              flag, value)
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_empty_byzantine_flag_overrides_the_config_file(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "faults.cfg"
+        cfg.write_text("periods = 3\nbyzantine = 3:silent\n")
+        argv = ("sim", "run", "--config", str(cfg), "--out",
+                str(tmp_path / "m.csv"))
+        assert "(byzantine)" in _run(capsys, *argv)[2]
+        code, _, err = _run(capsys, *argv, "--byzantine", "")
+        assert code == 0 and "(byzantine)" not in err
+
 
 class TestConfigSurface:
     def test_every_file_key_is_a_config_field(self):
-        fields = set(ExperimentConfig.__dataclass_fields__)
-        assert set(_FIELD_PARSERS) <= fields
+        assert set(_FIELD_PARSERS) == set(ExperimentConfig.__dataclass_fields__)
+
+    def test_every_fault_kind_has_a_node(self):
+        assert tuple(simulation._FAULTS) == FAULT_KINDS
 
     def test_size_constants_are_not_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "sizes.cfg"
@@ -174,10 +201,33 @@ class TestSimSweep:
         assert code == 2
 
     def test_sweep_over_a_non_field_attribute_exits_2(self, capsys):
-        code, _, err = _run(capsys, "sim", "sweep", "--periods", "2",
-                            "--sweep", "effective-round-timeout=1,2")
-        assert code == 2
-        assert "bad sweep spec" in err and "Traceback" not in err
+        for key in ("effective-round-timeout", "max-drain-periods"):
+            code, _, err = _run(capsys, "sim", "sweep", "--periods", "2",
+                                "--sweep", f"{key}=1,2")
+            assert code == 2
+            assert "bad sweep spec" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("validators=4.5", "bad value for validators: '4.5'"),
+        ("gas-limit=1e6", "bad value for gas_limit: '1e6'"),
+        ("seed=1,x", "bad value for seed: 'x'"),
+        ("drain=maybe", "bad value for drain: 'maybe'"),
+        ("jitter=nan", "bad value for jitter: 'nan'"),
+        ("byzantine=1:bogus", "unknown byzantine behavior 'bogus'"),
+        ("period=-1", "period must be positive"),
+    ])
+    def test_bad_sweep_value_exits_2(self, spec, message, capsys):
+        code, out, err = _run(capsys, "sim", "sweep", "--periods", "2",
+                              "--sweep", spec)
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_sweep_prints_values_as_typed(self, capsys):
+        code, out, _ = _run(capsys, "sim", "sweep", "--periods", "2",
+                            "--sweep", "seed=-1,2")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == \
+            ["seed=-1", "seed=2"]
 
 
 class TestAnalyze:
@@ -235,12 +285,27 @@ class TestAnalyze:
          "--upper-bound", "3"],
         ["plan-gas-limit", "--max-gas-rate", "500000", "--avg-gas-rate",
          "200000", "--max-consensus-latency", "0.001"],
+        ["plan-gas-limit", "--max-gas-rate", "-5", "--avg-gas-rate", "-10",
+         "--upper-bound", "-20"],
     ])
     def test_bad_flag_values_exit_2(self, argv, capsys):
         code, _, err = _run(capsys, "analyze", *argv)
         assert code == 2
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--period", "nan"],
+        ["plan-gas-limit", "--max-gas-rate", "5", "--avg-gas-rate", "1",
+         "--max-consensus-latency", "inf"],
+        ["plan-gas-limit", "--max-gas-rate", "5", "--avg-gas-rate", "1",
+         "--max-consensus-latency", "0.01", "--bandwidth", "inf"],
+    ])
+    def test_non_finite_floats_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", *argv])
+        assert exit_.value.code == 2
+        assert "invalid finite_float value" in capsys.readouterr().err
 
 
 class TestLedgerWorkflow:
@@ -350,6 +415,23 @@ class TestLedgerWorkflow:
         _, show, _ = _run(capsys, "ledger", "--store", store, "show",
                           out.strip())
         assert "ab" * 20 in show
+
+
+def _readme_commands() -> list:
+    """Each `custodysim ...` line of README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("custodysim ")]
+
+
+def test_readme_commands_parse():
+    # argparse exits on a flag the parser no longer has
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for command in commands:
+        args = _build_parser().parse_args(shlex.split(command)[1:])
+        assert callable(args.func), command
 
 
 _CREATE_LOOP = """

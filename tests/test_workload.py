@@ -4,8 +4,8 @@ import pytest
 
 from custodysim import analytics
 from custodysim.ledger import TRANSFER_GAS
+from custodysim.analytics import annual_multiset
 from custodysim.workload import (InvalidSpec, RampSpec, RateSpec,
-                                 annual_multiset,
                                  constant_rate_workload, ramp_workload)
 
 PERIOD = 300.0
