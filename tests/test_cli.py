@@ -417,17 +417,13 @@ class TestLedgerWorkflow:
         assert "ab" * 20 in show
 
 
-def _readme_commands() -> list:
-    """Each `custodysim ...` line of README's CLI block, continuations joined."""
+def test_readme_commands_parse():
+    # every `custodysim ...` line of README's CLI block, continuations
+    # joined; argparse exits on a flag the parser no longer has
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("custodysim ")]
-
-
-def test_readme_commands_parse():
-    # argparse exits on a flag the parser no longer has
-    commands = _readme_commands()
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("custodysim ")]
     assert len(commands) >= 10
     for command in commands:
         args = _build_parser().parse_args(shlex.split(command)[1:])

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from custodysim import analytics
-from custodysim.ledger import TRANSFER_GAS
 from custodysim.analytics import annual_multiset
+from custodysim.ledger import TRANSFER_GAS
 from custodysim.workload import (InvalidSpec, RampSpec, RateSpec,
                                  constant_rate_workload, ramp_workload)
 
