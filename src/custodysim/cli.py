@@ -131,11 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--as", dest="identity", required=True)
     t.set_defaults(func=cmd_ledger_transfer)
 
-    r = led_sub.add_parser("remove", help="remove the ledger entry (creator only)")
-    r.add_argument("id")
-    r.add_argument("--as", dest="identity", required=True)
-    r.set_defaults(func=cmd_ledger_remove)
-
     s = led_sub.add_parser("show", help="print the custody history of an entry")
     s.add_argument("id")
     s.set_defaults(func=cmd_ledger_show)
@@ -149,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = led_sub.add_parser("discard", help="remove entry and blob (creator only)")
     d.add_argument("id")
     d.add_argument("--as", dest="identity", required=True)
-    d.set_defaults(func=cmd_ledger_remove)
+    d.set_defaults(func=cmd_ledger_discard)
 
     v = led_sub.add_parser("verify", help="re-hash every blob and cross-check "
                                           "store and ledger; exit 1 on a problem")
@@ -373,7 +368,7 @@ def cmd_ledger_transfer(args) -> int:
     return 0
 
 
-def cmd_ledger_remove(args) -> int:
+def cmd_ledger_discard(args) -> int:
     evidence_id = _evidence_id(args.id)
     with open_custody(args.store) as frontend:
         frontend.discard_evidence(_identity(args.identity), evidence_id)

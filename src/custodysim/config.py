@@ -28,6 +28,13 @@ EQUIVOCATE = "equivocate"
 FAULT_KINDS = (SILENT, EQUIVOCATE)   # the Byzantine behaviours a run can inject
 
 
+def _require_finite(params, *names: str) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     period: float = 300.0            # block period T, seconds
@@ -38,6 +45,7 @@ class ChainParams:
         self.validate()
 
     def validate(self) -> None:
+        _require_finite(self, "period", "bandwidth")
         if self.period <= 0:
             raise ConfigError("period must be positive")
         if self.gas_limit < 0:
@@ -60,6 +68,7 @@ class ExperimentConfig(ChainParams):
 
     def validate(self) -> None:
         super().validate()
+        _require_finite(self, "base_delay", "jitter", "round_timeout")
         if self.periods <= 0:
             raise ConfigError("duration must be positive")
         if self.validators < 1:

@@ -24,11 +24,7 @@ named ``<hex id>.bin``, that the ledger does not name is a create or
 discard cut short, and a command that changes the ledger deletes it
 first; ``verify`` reports it. No other file in the directory is touched.
 A store whose index names entries but that has no ledger journal is a
-``StoreError``. A ``ledger.json`` that older versions rewrote whole on
-every command is converted once, under the lock: into
-``ledger.jsonl.tmp``, then renamed over the journal after the old file
-is gone. A ``ledger.json`` found next to a ``ledger.jsonl`` was not left
-by a conversion, and opening refuses the store until one is removed.
+``StoreError``; that includes every store written before the journal.
 """
 from __future__ import annotations
 
@@ -38,7 +34,6 @@ import json
 import os
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -230,11 +225,10 @@ class LocalLedgerClient:
         self._apply(tx, time)
         self._uid = tx.uid
 
-    def submit(self, tx: Transaction, time: Optional[float] = None) -> None:
-        """Commit tx at the given ledger time, by default one past the
-        last, and journal it. A revert journals nothing and raises, but
-        still moves the clock on."""
-        time = self._time + 1.0 if time is None else time
+    def submit(self, tx: Transaction) -> None:
+        """Commit tx one past the last ledger time and journal it. A
+        revert journals nothing and raises, but still moves the clock on."""
+        time = self._time + 1.0
         self._apply(tx, time)
         if self.journal is not None:
             record = {"uid": tx.uid, "time": time, "kind": tx.kind.value,
@@ -288,8 +282,6 @@ class Frontend:
 
     def submit_evidence(self, creator: Address, blob: bytes,
                         description: str) -> EvidenceId:
-        if not blob:
-            raise EmptyEvidence("evidence blob is empty")
         for _ in range(self.MAX_NONCE_RETRIES):
             nonce = self.rng.getrandbits(64)
             evidence_id = generate_id(blob, nonce, self.hash_func)
@@ -364,10 +356,10 @@ class Frontend:
 def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     """Yield a Frontend over the store at root and its journaled ledger.
 
-    The lock, the conversion of a ledger.json and the clean-up that
-    reconcile asks for are described in the module docstring. Commands
-    that only read pass reconcile=False, so ``verify`` sees what a
-    command cut short left behind.
+    The lock, the refusal of a store without its ledger journal and the
+    clean-up that reconcile asks for are described in the module
+    docstring. Commands that only read pass reconcile=False, so
+    ``verify`` sees what a command cut short left behind.
     """
     import fcntl  # POSIX only; nothing else in the package needs it
     root = Path(root)
@@ -375,17 +367,7 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     with open(root / "lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         store = EvidenceStore(root)
-        journal, legacy = root / LEDGER, root / "ledger.json"
-        converted = root / (LEDGER + ".tmp")
-        if legacy.exists():
-            if journal.exists():
-                raise StoreError(f"{legacy} from an older version lies next "
-                                 f"to the journal {journal}; remove the one "
-                                 "that is not the ledger of record")
-            _convert_json_ledger(legacy, converted)
-            legacy.unlink()
-        if converted.exists() and not journal.exists():
-            os.replace(converted, journal)
+        journal = root / LEDGER
         if not journal.exists():
             if store.ids():
                 raise StoreError(f"{journal} is missing but {store.index_path} "
@@ -395,36 +377,6 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
         if reconcile:
             _reconcile(store, client)
         yield Frontend(store, client, seed=random.SystemRandom().getrandbits(32))
-
-
-def _convert_json_ledger(path: Path, journal: Path) -> None:
-    """Write the journal of a whole-ledger JSON file: each entry's create
-    and transfers, in ledger-time order, at their recorded times."""
-    try:
-        txs = []
-        for raw in json.loads(path.read_text())["entries"]:
-            eid = EvidenceId.from_hex(raw["id"])
-            taddr = [Address.from_hex(a) for a in raw["taddr"]]
-            ttime = [float(t) for t in raw["ttime"]]
-            if (len(taddr) != len(ttime) or taddr[0].hex != raw["creator"]
-                    or taddr[-1].hex != raw["owner"]):
-                raise ValueError(f"history of {eid.hex} does not match "
-                                 "its creator and owner")
-            txs.append(create_tx(0, taddr[0], eid, _text(raw["description"]),
-                                 ttime[0]))
-            txs += [transfer_tx(0, taddr[i - 1], eid, taddr[i], ttime[i])
-                    for i in range(1, len(taddr))]
-    except (ValueError, KeyError, IndexError, TypeError, LedgerError) as err:
-        # ValueError covers JSON, hex and UTF-8 decoding errors
-        raise StoreError(f"{path} is malformed: {err}") from err
-    journal.unlink(missing_ok=True)  # left by a conversion cut short
-    client = LocalLedgerClient(journal)
-    for tx in sorted(txs, key=lambda tx: tx.issue_time):
-        try:
-            client.submit(replace(tx, uid=client.next_uid()), tx.issue_time)
-        except LedgerError as err:
-            raise StoreError(f"{path} is malformed: {tx.kind.value} of "
-                             f"{tx.evidence_id.hex} reverts: {err}") from err
 
 
 def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:

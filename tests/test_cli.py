@@ -1,10 +1,9 @@
-import contextlib
+import argparse
 import csv
 import hashlib
 import json
 import os
 import shlex
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +18,6 @@ from custodysim.config import (_FIELD_PARSERS, FAULT_KINDS, ExperimentConfig,
 from custodysim.ledger import EvidenceId
 from custodysim.store import EvidenceStore, open_custody
 from crashes import Crash, crash_at
-
-DATA = Path(__file__).parent / "data"
-
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -358,7 +354,7 @@ class TestLedgerWorkflow:
     @pytest.mark.parametrize("bad_id", ["zzz", "abcd"])
     @pytest.mark.parametrize("command", [
         ("show",), ("transfer", "--to", "bob", "--as", "alice"),
-        ("remove", "--as", "alice"), ("discard", "--as", "alice"),
+        ("discard", "--as", "alice"),
         ("acquire", "--as", "alice")], ids=lambda command: command[0])
     def test_malformed_id_exits_2(self, command, bad_id, tmp_path, capsys):
         store = tmp_path / "s"
@@ -417,6 +413,11 @@ class TestLedgerWorkflow:
         assert "ab" * 20 in show
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def test_readme_commands_parse():
     # every `custodysim ...` line of README's CLI block, continuations
     # joined; argparse exits on a flag the parser no longer has
@@ -425,9 +426,14 @@ def test_readme_commands_parse():
     commands = [line for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("custodysim ")]
     assert len(commands) >= 10
+    documented = set()
     for command in commands:
         args = _build_parser().parse_args(shlex.split(command)[1:])
         assert callable(args.func), command
+        documented.add(getattr(args, "ledger_command", None))
+    # and README documents every ledger command, so no alias hides
+    ledger = _subcommands(_subcommands(_build_parser())["ledger"])
+    assert documented - {None} == set(ledger)
 
 
 _CREATE_LOOP = """
@@ -457,7 +463,7 @@ def test_only_the_ledger_commands_need_fcntl(tmp_path):
 
 
 class TestLedgerStore:
-    """Crash safety, concurrency, format conversion and `ledger verify`."""
+    """Crash safety, concurrency and `ledger verify`."""
 
     @staticmethod
     def _create(capsys, store, blob, who="alice"):
@@ -536,98 +542,33 @@ class TestLedgerStore:
         assert _run(capsys, "ledger", "--store", str(store), "verify") \
             == (0, "", "")
 
-    def test_missing_journal_exits_1_and_keeps_blobs(self, tmp_path, capsys):
+    # pre-journal: the whole ledger that versions before ledger.jsonl
+    # rewrote on every command; it is never read, and never deleted
+    @pytest.mark.parametrize("pre_journal", [False, True],
+                             ids=["no-ledger", "pre-journal-ledger-json"])
+    def test_missing_journal_exits_1_and_keeps_blobs(self, pre_journal,
+                                                     tmp_path, capsys):
         store, blob = tmp_path / "s", tmp_path / "e.bin"
         blob.write_bytes(b"x")
         eid = self._create(capsys, store, blob)
         (store / "ledger.jsonl").unlink()
-        code, _, err = _run(capsys, "ledger", "--store", str(store),
-                            "transfer", eid, "--to", "bob", "--as", "alice")
-        assert code == 1
-        assert "StoreError" in err and "ledger.jsonl is missing" in err
+        legacy = store / "ledger.json"
+        if pre_journal:
+            legacy.write_text(json.dumps({"entries": [{
+                "id": eid, "description": "", "creator": "ab" * 20,
+                "owner": "ab" * 20, "taddr": ["ab" * 20], "ttime": [1.0]}]}))
+        for argv in (["show", eid], ["acquire", eid, "--as", "alice"],
+                     ["transfer", eid, "--to", "bob", "--as", "alice"],
+                     ["discard", eid, "--as", "alice"],
+                     ["create", "--file", str(blob), "--as", "alice"],
+                     ["verify"]):
+            code, _, err = _run(capsys, "ledger", "--store", str(store), *argv)
+            assert code == 1, argv
+            assert "StoreError" in err and "ledger.jsonl is missing" in err
         assert (store / f"{eid}.bin").exists()
         assert [e.hex for e in EvidenceStore(store).ids()] == [eid]
-
-    def test_json_ledger_store_converts(self, tmp_path, capsys):
-        fixture = DATA / "json-ledger-store"
-        store = tmp_path / "store"
-        shutil.copytree(fixture / "store", store)
-        orphan = "4233d2ea47f3d261fbda1762bc430f6dbc92440f5a11eb9540781feb0fafe325"
-        shows = {}
-        for name in ("a", "c"):
-            text = (fixture / f"show-{name}.txt").read_text()
-            shows[text.split()[1]] = text
-        for _ in range(2):  # converted by the first show, replayed after
-            for eid, text in shows.items():
-                code, out, _ = _run(capsys, "ledger", "--store", str(store),
-                                    "show", eid)
-                assert code == 0 and out == text
-        assert not (store / "ledger.json").exists()
-        # two creates and three transfers; the discarded entry is gone
-        assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
-        code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
-        assert code == 1
-        assert out == f"{orphan} is in the store but not on the ledger\n"
-        with open_custody(store):
-            pass
-        assert not (store / f"{orphan}.bin").exists()
-        assert _run(capsys, "ledger", "--store", str(store), "verify") \
-            == (0, "", "")
-
-    @pytest.mark.parametrize("step", range(1, 10))
-    def test_conversion_cut_short_finishes_on_reopen(self, step, tmp_path,
-                                                     capsys):
-        store = tmp_path / "store"
-        shutil.copytree(DATA / "json-ledger-store" / "store", store)
-        text = (DATA / "json-ledger-store" / "show-c.txt").read_text()
-        argv = ["ledger", "--store", str(store), "show", text.split()[1]]
-        with crash_at(step):
-            try:
-                main(argv)
-            except Crash:
-                pass
-        capsys.readouterr()
-        assert _run(capsys, *argv) == (0, text, "")
-        assert sorted(path.name for path in store.iterdir()
-                      if not path.name.endswith(".bin")) == \
-            ["index.tsv", "ledger.jsonl", "lock"]
-        assert len((store / "ledger.jsonl").read_text().splitlines()) == 5
-
-    def test_json_ledger_next_to_a_journal_is_refused(self, tmp_path, capsys):
-        store, blob = tmp_path / "s", tmp_path / "e.bin"
-        blob.write_bytes(b"x")
-        ids = [self._create(capsys, store, blob) for _ in range(2)]
-        legacy = json.loads(
-            (DATA / "json-ledger-store" / "store" / "ledger.json").read_text())
-        legacy["entries"] = legacy["entries"][:1]
-        (store / "ledger.json").write_text(json.dumps(legacy))
-        journal = (store / "ledger.jsonl").read_bytes()
-        for argv in (["show", ids[0]], ["discard", ids[0], "--as", "alice"]):
-            code, _, err = _run(capsys, "ledger", "--store", str(store), *argv)
-            assert code == 1
-            assert "StoreError" in err and "ledger.json from an older" in err
-        assert (store / "ledger.jsonl").read_bytes() == journal
-        assert (store / "ledger.json").exists()
-        assert all((store / f"{eid}.bin").exists() for eid in ids)
-
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:40],
-        lambda text: text.replace('[\n        5.0', '[\n        9.0'),
-        lambda text: text.replace('"description": "t',
-                                  '"description": ["t"], "x": "'),
-    ], ids=["truncated", "create-after-transfer", "description-not-a-string"])
-    def test_malformed_json_ledger_exits_1_and_keeps_blobs(self, damage,
-                                                           tmp_path, capsys):
-        store = tmp_path / "store"
-        shutil.copytree(DATA / "json-ledger-store" / "store", store)
-        legacy = store / "ledger.json"
-        legacy.write_text(damage(legacy.read_text()))
-        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
-                            "ab" * 32)
-        assert code == 1
-        assert "StoreError" in err and "ledger.json is malformed" in err
-        assert "Traceback" not in err
-        assert legacy.exists() and len(list(store.glob("*.bin"))) == 3
+        assert legacy.exists() == pre_journal
+        assert not (store / "ledger.jsonl").exists()
 
     @pytest.mark.parametrize("damage", ["tamper", "lose-file", "lose-entry"])
     def test_verify_reports_each_problem(self, damage, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -67,6 +68,14 @@ class TestConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             _cfg(**kw).validate()
+
+    # every float setting, so a new one cannot skip the check
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(ExperimentConfig) if "float" in f.type])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+            ExperimentConfig(**{field: value})
 
     def test_round_timeout_defaults_to_two_periods(self):
         assert _cfg().effective_round_timeout == 2 * T
