@@ -87,10 +87,6 @@ class Mempool:
         for uid in uids:
             self._pending.pop(uid, None)
 
-    @property
-    def pending(self) -> tuple:
-        return tuple(self._pending.values())
-
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self._pending.values())
 

@@ -102,6 +102,7 @@ class Validator:
         self.n = n
         self.gas_limit = gas_limit
         self.round_timeout = round_timeout
+        self.quorum = quorum_size(n)
         self._broadcast = broadcast
         self._set_timer = set_timer
         self._build_block = build_block
@@ -220,26 +221,38 @@ class Validator:
         self._vote(MsgType.PREPARE, msg.digest)
         self._check_quorums()
 
+    # After every _check_quorums call, a PRE_PREPARED replica lacks a
+    # prepare quorum and a PREPARED one a commit quorum on locked_digest.
+    # So a single vote can only advance the phase it is counted for, and
+    # only when it is for locked_digest; any other vote is just recorded.
+
     def _on_prepare(self, msg: ConsensusMessage) -> None:
-        self.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
-        self._check_quorums()
+        votes = self.prepare_votes.setdefault(msg.digest, set())
+        votes.add(msg.sender)
+        if self.phase is Phase.PRE_PREPARED \
+                and msg.digest == self.locked_digest \
+                and len(votes) >= self.quorum:
+            self._check_quorums()
 
     def _on_commit_msg(self, msg: ConsensusMessage) -> None:
-        self.commit_votes.setdefault(msg.digest, set()).add(msg.sender)
-        self._check_quorums()
+        votes = self.commit_votes.setdefault(msg.digest, set())
+        votes.add(msg.sender)
+        if self.phase is Phase.PREPARED \
+                and msg.digest == self.locked_digest \
+                and len(votes) >= self.quorum:
+            self._commit()
 
     def _check_quorums(self) -> None:
         if self.locked_block is None:
             return
         digest = self.locked_digest
-        q = quorum_size(self.n)
         if self.phase is Phase.PRE_PREPARED \
-                and len(self.prepare_votes.get(digest, ())) >= q:
+                and len(self.prepare_votes.get(digest, ())) >= self.quorum:
             self.phase = Phase.PREPARED
             self.locked = True
             self._vote(MsgType.COMMIT, digest)
         if self.phase is Phase.PREPARED \
-                and len(self.commit_votes.get(digest, ())) >= q:
+                and len(self.commit_votes.get(digest, ())) >= self.quorum:
             self._commit()
 
     def _vote(self, type_: MsgType, digest: bytes) -> None:

@@ -1,16 +1,18 @@
 """Deterministic discrete-event engine: virtual clock, links, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
-run fires the same sequence of events at the same times. Client traffic
-enters the network as sender ``CLIENT`` and takes the same path as
-validator traffic.
+run fires the same sequence of events at the same times. Each message
+delivery is one scheduler event that calls the recipient's deliver
+callback with the message; no closure is built per delivery. Client
+traffic enters the network as sender ``CLIENT`` and takes the same path
+as validator traffic.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Callable, Iterable, Optional
 
 CLIENT = -1  # sender id of traffic from outside the validator set
 
@@ -45,9 +47,10 @@ class LinkModel:
 class Scheduler:
     """Event queue ordered by (fire time, insertion sequence).
 
-    Heap entries are ``(fire_time, seq, action)`` tuples; ``seq`` is
-    unique, so the comparison never reaches ``action``. Events at equal
-    times fire in the order they were scheduled.
+    Heap entries are ``(fire_time, seq, action, args)`` tuples and fire as
+    ``action(*args)``; ``seq`` is unique, so the comparison never reaches
+    ``action``. Events at equal times fire in the order they were
+    scheduled.
     """
 
     def __init__(self):
@@ -55,22 +58,23 @@ class Scheduler:
         self._seq = 0
         self._heap: list[tuple] = []
 
-    def schedule_at(self, fire_time: float, action: Callable[[], None]) -> None:
+    def schedule_at(self, fire_time: float, action: Callable, *args) -> None:
         if fire_time < self.now:
             raise SchedulingInPast(f"{fire_time} < now {self.now}")
-        heapq.heappush(self._heap, (fire_time, self._seq, action))
+        heappush(self._heap, (fire_time, self._seq, action, args))
         self._seq += 1
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay, action)
+    def schedule(self, delay: float, action: Callable, *args) -> None:
+        self.schedule_at(self.now + delay, action, *args)
 
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
-        while self._heap and self._heap[0][0] <= t:
-            self.now, _, action = heapq.heappop(self._heap)
-            action()
+        heap, pop = self._heap, heappop
+        while heap and heap[0][0] <= t:
+            self.now, _, action, args = pop(heap)
+            action(*args)
         self.now = t
 
     def pending(self) -> int:
@@ -99,26 +103,39 @@ class Network:
     def add_node(self, node_id: int, deliver: Callable) -> None:
         self._nodes[node_id] = deliver
 
-    def link(self, sender: int, recipient: int) -> LinkModel:
-        return self.links.get((sender, recipient), self.default_link)
-
     def send(self, sender: int, recipient: int, message, wire_size: int) -> None:
-        if recipient not in self._nodes:
-            raise UnknownNode(str(recipient))
-        if sender == recipient:
-            delay = 0.0
-        else:
-            delay = self.link(sender, recipient).transmission_delay(wire_size)
-            if self.jitter > 0:
-                delay += self.rng.uniform(0.0, self.jitter)
-        deliver = self._nodes[recipient]
-        self.scheduler.schedule(delay, lambda: deliver(message))
+        """Point-to-point: a broadcast to the one recipient."""
+        self.broadcast(sender, message, wire_size, (recipient,))
 
-    def broadcast(self, sender: int, message, wire_size: int) -> None:
-        if sender not in self._nodes and sender >= 0:
+    def broadcast(self, sender: int, message, wire_size: int,
+                  recipients: Optional[Iterable[int]] = None) -> None:
+        """Schedule one delivery of ``message`` per recipient.
+
+        ``recipients`` defaults to every node, in the order they were
+        added. The default link's delay is computed once per call; a
+        per-pair link is looked up only when one exists. With jitter, each
+        non-self delivery adds ``jitter * rng.random()``, in recipient
+        order; that is the value ``rng.uniform(0.0, jitter)`` returns.
+        """
+        nodes = self._nodes
+        if sender not in nodes and sender >= 0:
             raise UnknownNode(str(sender))
-        for recipient in self._nodes:
-            self.send(sender, recipient, message, wire_size)
+        default = self.default_link.transmission_delay(wire_size)
+        links, jitter, draw = self.links, self.jitter, self.rng.random
+        now, schedule_at = self.scheduler.now, self.scheduler.schedule_at
+        for recipient in nodes if recipients is None else recipients:
+            deliver = nodes.get(recipient)
+            if deliver is None:
+                raise UnknownNode(str(recipient))
+            if recipient == sender:
+                delay = 0.0
+            else:
+                link = links.get((sender, recipient)) if links else None
+                delay = default if link is None \
+                    else link.transmission_delay(wire_size)
+                if jitter > 0:
+                    delay += jitter * draw()
+            schedule_at(now + delay, deliver, message)
 
     def inject(self, message, wire_size: int) -> None:
         """Deliver a message from outside the validator set (e.g. a client)."""

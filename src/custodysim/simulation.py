@@ -141,12 +141,9 @@ class _EquivocatingNode(_Node):
                                    block_digest(alt_block), msg.sender,
                                    alt_block)
             self.sim.note_proposal(alt)
-            for recipient in others[:half]:
-                self.sim.network.send(self.index, recipient, msg,
-                                      wire_size(msg))
-            for recipient in others[half:]:
-                self.sim.network.send(self.index, recipient, alt,
-                                      wire_size(alt))
+            network = self.sim.network
+            network.broadcast(self.index, msg, wire_size(msg), others[:half])
+            network.broadcast(self.index, alt, wire_size(alt), others[half:])
             return
         # withhold prepare/commit votes
 
@@ -222,9 +219,8 @@ class Simulation:
     def run(self) -> SimResult:
         cfg = self.config
         for tx in self.workload:
-            self.scheduler.schedule_at(
-                tx.issue_time,
-                lambda t=tx: self.network.inject(t, t.size))
+            self.scheduler.schedule_at(tx.issue_time, self.network.inject,
+                                       tx, tx.size)
 
         period = 0          # index of the period whose block is next due
         boundary = cfg.period

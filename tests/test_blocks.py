@@ -24,7 +24,7 @@ class TestMempool:
         txs = [_transfer(i) for i in range(1, 11)]
         for tx in txs:
             mempool.submit(tx)
-        assert [t.uid for t in mempool.pending] == list(range(1, 11))
+        assert [t.uid for t in mempool] == list(range(1, 11))
 
     def test_duplicate_submit_ignored(self, mempool):
         tx = _transfer(1)
@@ -36,7 +36,7 @@ class TestMempool:
         for i in range(1, 4):
             mempool.submit(_transfer(i))
         mempool.remove_committed([2])
-        assert [t.uid for t in mempool.pending] == [1, 3]
+        assert [t.uid for t in mempool] == [1, 3]
 
 
 _UIDS = st.integers(1, 12)
@@ -60,7 +60,7 @@ def test_mempool_matches_list_model(ops, gas_limit):
         else:
             pool.remove_committed(iter(op[1]))
             model = [t for t in model if t.uid not in op[1]]
-        assert pool.pending == tuple(model)
+        assert tuple(pool) == tuple(model)
         assert len(pool) == len(model)
         head = model[0] if model and model[0].gas > gas_limit else None
         assert pool.stuck_head(gas_limit) is head

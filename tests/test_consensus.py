@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from custodysim.blocks import Block, block_digest, genesis_digest
 from custodysim.consensus import (ConsensusMessage, MsgType, NotProposer,
@@ -276,3 +277,102 @@ class TestRoundChange:
         assert v.phase is Phase.AWAITING
         assert v.locked_block is block
         assert env.broadcasts[-1].type is MsgType.COMMIT
+
+
+class RecountEveryVote(Validator):
+    """The vote handlers without their guards: every vote runs the full
+    quorum recount."""
+
+    def _on_prepare(self, msg):
+        self.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
+        self._check_quorums()
+
+    def _on_commit_msg(self, msg):
+        self.commit_votes.setdefault(msg.digest, set()).add(msg.sender)
+        self._check_quorums()
+
+
+_N = 4
+
+
+def _candidate(height, parent, k):
+    """Block k of the two (k = 0, 1) that the random steps vote over."""
+    return Block(height, parent, select_proposer(height, 0, _N), 0.0, salt=k)
+
+
+def _chained(v, height, k):
+    """Candidate k at ``height``, on top of candidate k for each height
+    between the validator's head and it."""
+    parent = v.head_digest
+    for h in range(v.height, height):
+        parent = block_digest(_candidate(h, parent, k))
+    return _candidate(height, parent, k)
+
+
+def _driven(cls, index):
+    env = StubEnv()
+    v = cls(index=index, n=_N, gas_limit=10 ** 9, round_timeout=1.0,
+            broadcast=env.broadcasts.append,
+            set_timer=lambda d, cb: env.timers.append((d, cb)),
+            build_block=lambda h, r, ts: _candidate(h, v.head_digest, 0),
+            on_commit=env.commits.append, genesis=genesis_digest())
+    v.start_height(0.0)
+    return env, v
+
+
+def _observed(env, v):
+    return (env.broadcasts, env.commits, len(env.timers), v.phase,
+            v.locked_block, v.locked_digest, v.locked, v.height, v.round,
+            v.active)
+
+
+# A step is five bytes, read through these tables: the step's kind, a bit
+# mask of senders (one message from each, so that quorums form often; for a
+# timer step it picks the timer), a round offset, a candidate and a height
+# offset. The offsets are from the validator's round and height when the
+# step runs, so most steps count. One byte string per example keeps
+# hypothesis's drawing cost low.
+_KINDS = (MsgType.PRE_PREPARE, MsgType.PREPARE, MsgType.PREPARE,
+          MsgType.COMMIT, MsgType.COMMIT) * 2 + ("timer", "start")
+_ROUND_OFFSETS = (0, 0, 0, 0, 1, 2, -1)
+_HEIGHT_OFFSETS = (0, 0, 0, 0, 0, 1, -1)
+
+
+def _pick(table, byte):
+    return table[byte % len(table)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, _N - 1),
+       steps=st.binary(min_size=5 * 30, max_size=5 * 80))
+def test_vote_guards_match_full_recount(index, steps):
+    """Random pre-prepares, votes over two digests, timer fires and height
+    starts: the guarded vote handlers broadcast, commit and move phase,
+    lock, height and round exactly as a recount after every vote does."""
+    env, v = _driven(Validator, index)
+    ref_env, ref = _driven(RecountEveryVote, index)
+    for at in range(0, len(steps) - 4, 5):
+        kind, mask, round_offset, k, height_offset = steps[at:at + 5]
+        kind = _pick(_KINDS, kind)
+        mask = mask % (2 ** _N - 1) + 1
+        if kind == "timer":
+            i = mask % len(env.timers)
+            env.timers[i][1]()
+            ref_env.timers[i][1]()
+        elif kind == "start":
+            if not v.active:
+                v.start_height(0.0)
+                ref.start_height(0.0)
+        else:
+            height = v.height + _pick(_HEIGHT_OFFSETS, height_offset)
+            block = _chained(v, max(height, 0), k % 2)
+            round_ = max(v.round + _pick(_ROUND_OFFSETS, round_offset), 0)
+            for sender in range(_N):
+                if mask >> sender & 1:
+                    msg = ConsensusMessage(
+                        kind, block.height, round_, block_digest(block),
+                        sender, block if kind is MsgType.PRE_PREPARE else None)
+                    v.handle(msg)
+                    ref.handle(msg)
+                    assert _observed(env, v) == _observed(ref_env, ref)
+        assert _observed(env, v) == _observed(ref_env, ref)

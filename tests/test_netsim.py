@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from custodysim.netsim import (CLIENT, LinkModel, Network, Scheduler,
                                SchedulingInPast, UnknownNode)
@@ -52,6 +53,20 @@ class TestScheduler:
         sched.schedule_at(1.0, lambda: chain(0))
         sched.run_until(1.0)
         assert seen == [0, 1, 2, 3]
+
+    def test_schedule_at_passes_arguments(self):
+        sched = Scheduler()
+        seen = []
+        sched.schedule_at(1.0, seen.append, "a")
+        sched.schedule_at(1.0, lambda: seen.append("b"))
+        sched.schedule(1.0, lambda *xs: seen.append(xs), "c", 2)
+        sched.schedule_at(1.0, lambda: seen.append("d"))
+        sched.schedule_at(0.5, seen.append, "first")
+        sched.run_until(1.0)
+        assert seen == ["first", "a", "b", ("c", 2), "d"]
+        with pytest.raises(SchedulingInPast):
+            sched.schedule_at(0.5, seen.append, "late")
+        assert sched.pending() == 0
 
     def test_empty_queue_just_advances_clock(self):
         sched = Scheduler()
@@ -131,3 +146,73 @@ class TestNetwork:
         sched.run_until(10.0)
         assert times[1] == pytest.approx(1.0)    # slow client link
         assert times[0] == times[2] == pytest.approx(0.001)
+
+
+def _reference_send(net, delivers, sender, recipient, message, wire_size):
+    """Network.send as it was before broadcast did the fan-out itself: one
+    link lookup, one ``rng.uniform`` draw and one closure per delivery."""
+    if recipient not in delivers:
+        raise UnknownNode(str(recipient))
+    if sender == recipient:
+        delay = 0.0
+    else:
+        link = net.links.get((sender, recipient), net.default_link)
+        delay = link.transmission_delay(wire_size)
+        if net.jitter > 0:
+            delay += net.rng.uniform(0.0, net.jitter)
+    deliver = delivers[recipient]
+    net.scheduler.schedule(delay, lambda: deliver(message))
+
+
+_NODES = 5
+_SENDERS = st.sampled_from([CLIENT, *range(_NODES)])
+_LINKS = st.dictionaries(
+    st.tuples(_SENDERS, st.integers(0, _NODES - 1)),
+    st.builds(LinkModel, st.sampled_from([1_000.0, 250_000.0, 1e6]),
+              st.sampled_from([0.0, 0.01, 0.3])),
+    max_size=8)
+_SIZES = st.integers(0, 5_000)
+_SENDS = st.lists(st.one_of(
+    st.tuples(st.just("broadcast"), _SENDERS, _SIZES),
+    # an equivocator's sends: a validator to a subset, in a chosen order
+    st.tuples(st.just("subset"), st.integers(0, _NODES - 1), _SIZES,
+              st.lists(st.integers(0, _NODES - 1), unique=True)),
+    st.tuples(st.just("send"), st.integers(0, _NODES - 1), _SIZES,
+              st.integers(0, _NODES - 1)),
+    st.tuples(st.just("advance"), st.floats(0.0, 0.5))), max_size=25)
+
+
+@given(sends=_SENDS, links=_LINKS, jitter=st.sampled_from([0.0, 0.005, 0.2]),
+       seed=st.integers(0, 2 ** 32))
+def test_fan_out_matches_per_recipient_sends(sends, links, jitter, seed):
+    """broadcast and send against the per-recipient send with a closure:
+    the same deliveries at the same times in the same order, and the same
+    rng state afterwards."""
+    def run(fan_out):
+        sched = Scheduler()
+        net = Network(sched, LinkModel(1e6, 0.01), links=links,
+                      jitter=jitter, rng=random.Random(seed))
+        log, delivers = [], {}
+        for i in range(_NODES):
+            delivers[i] = lambda m, i=i: log.append((sched.now, i, m))
+            net.add_node(i, delivers[i])
+        for label, (kind, *op) in enumerate(sends):
+            if kind == "advance":
+                sched.run_until(sched.now + op[0])
+            elif fan_out:
+                if kind == "broadcast":
+                    net.broadcast(op[0], label, op[1])
+                elif kind == "subset":
+                    net.broadcast(op[0], label, op[1], op[2])
+                else:
+                    net.send(op[0], op[2], label, op[1])
+            else:
+                recipients = {"broadcast": range(_NODES), "subset": op[-1],
+                              "send": [op[-1]]}[kind]
+                for recipient in recipients:
+                    _reference_send(net, delivers, op[0], recipient, label,
+                                    op[1])
+        sched.run_until(sched.now + 100.0)
+        return log, net.rng.random()
+
+    assert run(fan_out=True) == run(fan_out=False)
