@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .ledger import Transaction
@@ -23,6 +24,39 @@ class Block:
     # fault model) mint two distinct blocks from the same contents.
     salt: int = 0
 
+    @cached_property
+    def _digest(self) -> bytes:
+        """SHA-256 over the block's canonical serialization.
+
+        Each transaction contributes every field a replica's ledger reads:
+        uid, gas, size, evidence id, issuer, kind, new owner and
+        description. Variable or optional fields carry a length prefix or
+        a presence byte, so blocks that differ in any of these fields
+        never serialize to the same bytes. ``issue_time`` is left out: no
+        ledger reads it. The block and its transactions are frozen, so
+        the result is kept in the instance ``__dict__``; that is not a
+        dataclass field, so equality, hashing and ``repr`` ignore it.
+        """
+        h = hashlib.sha256()
+        h.update(struct.pack(">Q", self.height))
+        h.update(self.parent_digest)
+        h.update(struct.pack(">Qd", self.proposer, self.timestamp))
+        h.update(struct.pack(">Q", self.salt))
+        for tx in self.transactions:
+            h.update(struct.pack(">QQQ", tx.uid, tx.gas, tx.size))
+            h.update(tx.evidence_id.value)
+            h.update(tx.issuer.value)
+            kind = tx.kind.value.encode()
+            h.update(struct.pack(">B", len(kind)) + kind)
+            h.update(b"\x00" if tx.new_owner is None
+                     else b"\x01" + tx.new_owner.value)
+            if tx.description is None:
+                h.update(b"\x00")
+            else:
+                text = tx.description.encode("utf-8")
+                h.update(b"\x01" + struct.pack(">I", len(text)) + text)
+        return h.digest()
+
 
 def block_size(block: Block) -> int:
     """Header plus the serialized size of every included transaction."""
@@ -36,31 +70,12 @@ def block_gas(block: Block) -> int:
 def block_digest(block: Block) -> bytes:
     """256-bit digest over the canonical serialization of the block.
 
-    Each transaction contributes every field a replica's ledger reads:
-    uid, gas, size, evidence id, issuer, kind, new owner and description.
-    Variable or optional fields carry a length prefix or a presence
-    byte, so blocks that differ in any of these fields never serialize
-    to the same bytes. ``issue_time`` is left out: no ledger reads it.
+    Hashed once per ``Block`` object, on first use, so the proposer and
+    every replica that checks the block share one hash. A block with
+    other content, such as a ``dataclasses.replace`` copy, is a new
+    object with its own digest.
     """
-    h = hashlib.sha256()
-    h.update(struct.pack(">Q", block.height))
-    h.update(block.parent_digest)
-    h.update(struct.pack(">Qd", block.proposer, block.timestamp))
-    h.update(struct.pack(">Q", block.salt))
-    for tx in block.transactions:
-        h.update(struct.pack(">QQQ", tx.uid, tx.gas, tx.size))
-        h.update(tx.evidence_id.value)
-        h.update(tx.issuer.value)
-        kind = tx.kind.value.encode()
-        h.update(struct.pack(">B", len(kind)) + kind)
-        h.update(b"\x00" if tx.new_owner is None
-                 else b"\x01" + tx.new_owner.value)
-        if tx.description is None:
-            h.update(b"\x00")
-        else:
-            text = tx.description.encode("utf-8")
-            h.update(b"\x01" + struct.pack(">I", len(text)) + text)
-    return h.digest()
+    return block._digest
 
 
 def genesis_digest() -> bytes:

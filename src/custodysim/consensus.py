@@ -1,9 +1,10 @@
 """Three-phase proof-of-authority consensus state machine.
 
 One proposer per (height, round); pre-prepare carries the full block,
-prepare and commit carry only its digest. A replica verifies that digest
-once, when it accepts the pre-prepare, and keeps it as ``locked_digest``;
-votes are then matched against it by digest, with no rehashing. A
+prepare and commit carry only its digest. The digest is computed once per
+block object (``blocks.block_digest``) and checked by every replica when
+it accepts the pre-prepare; the replica keeps it as ``locked_digest``,
+and votes are then matched against it by digest, with no rehashing. A
 validator commits once it has seen 2f+1 commit votes, where
 f = floor((n-1)/3). Liveness under a faulty proposer comes from a
 timeout-driven round change.
@@ -289,7 +290,6 @@ class Validator:
             block = self.locked_block if self.locked else \
                 self._build_block(self.height, self.round, self.period_start)
             self.propose(block)
-        self._replay_buffered()
 
     # -- buffering ------------------------------------------------------
 

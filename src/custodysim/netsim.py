@@ -1,11 +1,14 @@
 """Deterministic discrete-event engine: virtual clock, links, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
-run fires the same sequence of events at the same times. Each message
-delivery is one scheduler event that calls the recipient's deliver
-callback with the message; no closure is built per delivery. Client
-traffic enters the network as sender ``CLIENT`` and takes the same path
-as validator traffic.
+run fires the same sequence of events at the same times. A delivery
+calls the recipient's deliver callback with the message; no closure is
+built per delivery. With jitter or per-pair links, each delivery is one
+scheduler event. On a jitter-free network with only the default link, a
+broadcast is at most two events: the self-delivery now, and one fan-out
+that delivers to every other recipient, in order, when the link's delay
+has passed. Client traffic enters the network as sender ``CLIENT`` and
+takes the same path as validator traffic.
 """
 from __future__ import annotations
 
@@ -50,7 +53,9 @@ class Scheduler:
     Heap entries are ``(fire_time, seq, action, args)`` tuples and fire as
     ``action(*args)``; ``seq`` is unique, so the comparison never reaches
     ``action``. Events at equal times fire in the order they were
-    scheduled.
+    scheduled. One event may deliver a message to many nodes (see
+    ``Network.broadcast``); whatever those deliveries schedule gets a
+    later ``seq`` than the event itself.
     """
 
     def __init__(self):
@@ -109,21 +114,46 @@ class Network:
 
     def broadcast(self, sender: int, message, wire_size: int,
                   recipients: Optional[Iterable[int]] = None) -> None:
-        """Schedule one delivery of ``message`` per recipient.
+        """Deliver ``message`` to each recipient after its link's delay.
 
         ``recipients`` defaults to every node, in the order they were
         added. The default link's delay is computed once per call; a
         per-pair link is looked up only when one exists. With jitter, each
         non-self delivery adds ``jitter * rng.random()``, in recipient
         order; that is the value ``rng.uniform(0.0, jitter)`` returns.
+
+        Without jitter or per-pair links, every non-self delivery fires at
+        the same time, ``now`` plus the default delay, so one fan-out
+        event delivers them in recipient order. That is the order in which
+        one event per recipient, scheduled back to back, would fire. When
+        that delay does not move the clock (it is 0), self and the others
+        share a fire time, and one event per recipient keeps the
+        self-delivery in its place.
         """
         nodes = self._nodes
         if sender not in nodes and sender >= 0:
             raise UnknownNode(str(sender))
         default = self.default_link.transmission_delay(wire_size)
-        links, jitter, draw = self.links, self.jitter, self.rng.random
+        links, jitter = self.links, self.jitter
         now, schedule_at = self.scheduler.now, self.scheduler.schedule_at
-        for recipient in nodes if recipients is None else recipients:
+        if recipients is None:
+            recipients = nodes
+        fire = now + default
+        if not links and jitter <= 0 and fire > now:
+            others = []
+            for recipient in recipients:
+                deliver = nodes.get(recipient)
+                if deliver is None:
+                    raise UnknownNode(str(recipient))
+                if recipient == sender:
+                    schedule_at(now, deliver, message)
+                else:
+                    others.append(deliver)
+            if others:
+                schedule_at(fire, _fan_out, others, message)
+            return
+        draw = self.rng.random
+        for recipient in recipients:
             deliver = nodes.get(recipient)
             if deliver is None:
                 raise UnknownNode(str(recipient))
@@ -140,3 +170,8 @@ class Network:
     def inject(self, message, wire_size: int) -> None:
         """Deliver a message from outside the validator set (e.g. a client)."""
         self.broadcast(CLIENT, message, wire_size)
+
+
+def _fan_out(delivers: list, message) -> None:
+    for deliver in delivers:
+        deliver(message)

@@ -146,3 +146,21 @@ class TestDigest:
         a = Block(1, genesis_digest(), 0, 5.0, (tx,))
         b = Block(1, genesis_digest(), 0, 5.0, (alt,))
         assert block_digest(a) != block_digest(b)
+
+    @pytest.mark.parametrize("digested", [(), (0,), (1,), (0, 1)])
+    def test_cached_digest_invisible_to_eq_hash_repr(self, digested):
+        a = Block(1, genesis_digest(), 0, 5.0, (_transfer(1),))
+        b = Block(1, genesis_digest(), 0, 5.0, (_transfer(1),))
+        for i in digested:
+            block_digest((a, b)[i])
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert block_digest(a) == block_digest(b)
+
+    def test_replaced_copy_gets_its_own_digest(self):
+        a = Block(1, genesis_digest(), 0, 5.0, (_transfer(1),))
+        digest = block_digest(a)
+        b = replace(a, salt=1)
+        assert block_digest(b) != digest
+        assert block_digest(b) == block_digest(
+            Block(1, genesis_digest(), 0, 5.0, (_transfer(1),), salt=1))
+        assert block_digest(a) == digest

@@ -144,6 +144,31 @@ class TestPrePrepare:
         assert v.locked_block is None
         assert not any(m.type is MsgType.PREPARE for m in env.broadcasts)
 
+    @pytest.mark.parametrize("change", [
+        dict(salt=1),
+        dict(timestamp=1.0),
+        dict(transactions=()),
+        dict(transactions=(transfer_tx(1, Address.from_int(1),
+                                       EvidenceId.from_int(1),
+                                       Address.from_int(99), 0.0),)),
+    ])
+    def test_altered_copy_under_cached_digest_dropped(self, change):
+        # the original's digest is computed, and kept on it, before an
+        # altered copy is sent under that digest
+        env = StubEnv()
+        v = env.make(1)
+        v.start_height(0.0)
+        tx = transfer_tx(1, Address.from_int(1), EvidenceId.from_int(1),
+                         Address.from_int(2), 0.0)
+        block = Block(0, v.head_digest, 0, 0.0, (tx,))
+        digest = block_digest(block)
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 0, digest, 0,
+                                  replace(block, **change)))
+        assert v.phase is Phase.AWAITING and v.locked_block is None
+        assert not any(m.type is MsgType.PREPARE for m in env.broadcasts)
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 0, digest, 0, block))
+        assert v.phase is Phase.PRE_PREPARED and v.locked_block is block
+
 
 class TestVoting:
     def _pre_prepared(self):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from custodysim.netsim import (CLIENT, LinkModel, Network, Scheduler,
                                SchedulingInPast, UnknownNode)
@@ -171,48 +171,107 @@ _LINKS = st.dictionaries(
     st.builds(LinkModel, st.sampled_from([1_000.0, 250_000.0, 1e6]),
               st.sampled_from([0.0, 0.01, 0.3])),
     max_size=8)
-_SIZES = st.integers(0, 5_000)
-_SENDS = st.lists(st.one_of(
+_SIZES = st.one_of(st.just(0), st.integers(1, 5_000))
+_TRANSMITS = (
     st.tuples(st.just("broadcast"), _SENDERS, _SIZES),
     # an equivocator's sends: a validator to a subset, in a chosen order
     st.tuples(st.just("subset"), st.integers(0, _NODES - 1), _SIZES,
               st.lists(st.integers(0, _NODES - 1), unique=True)),
     st.tuples(st.just("send"), st.integers(0, _NODES - 1), _SIZES,
-              st.integers(0, _NODES - 1)),
-    st.tuples(st.just("advance"), st.floats(0.0, 0.5))), max_size=25)
+              st.integers(0, _NODES - 1)))
+_SENDS = st.lists(st.one_of(
+    *_TRANSMITS, st.tuples(st.just("advance"), st.floats(0.0, 0.5))),
+    max_size=25)
+# (label, recipient) -> what that recipient transmits, labelled
+# (label, recipient), while the message is being delivered to it
+_REACTIONS = st.dictionaries(
+    st.tuples(st.integers(0, 24), st.integers(0, _NODES - 1)),
+    st.one_of(*_TRANSMITS), max_size=12)
 
 
-@given(sends=_SENDS, links=_LINKS, jitter=st.sampled_from([0.0, 0.005, 0.2]),
-       seed=st.integers(0, 2 ** 32))
-def test_fan_out_matches_per_recipient_sends(sends, links, jitter, seed):
+@given(sends=_SENDS, reactions=_REACTIONS, links=_LINKS,
+       jitter=st.sampled_from([0.0, 0.005, 0.2]),
+       base_delay=st.sampled_from([0.0, 0.01]), seed=st.integers(0, 2 ** 32))
+@example(sends=[("broadcast", 2, 0)], reactions={(0, 1): ("broadcast", 1, 0)},
+         links={}, jitter=0.0, base_delay=0.0, seed=0)
+@example(sends=[("broadcast", 2, 0)], reactions={(0, 1): ("broadcast", 1, 0)},
+         links={}, jitter=0.0, base_delay=0.01, seed=0)
+def test_fan_out_matches_per_recipient_sends(sends, reactions, links, jitter,
+                                             base_delay, seed):
     """broadcast and send against the per-recipient send with a closure:
     the same deliveries at the same times in the same order, and the same
-    rng state afterwards."""
+    rng state afterwards. Handlers that transmit while a message is being
+    delivered to them push new events, some due at once, in the middle of
+    a fan-out; a zero default delay with a zero size puts self and the
+    other recipients at one fire time."""
     def run(fan_out):
         sched = Scheduler()
-        net = Network(sched, LinkModel(1e6, 0.01), links=links,
+        net = Network(sched, LinkModel(1e6, base_delay), links=links,
                       jitter=jitter, rng=random.Random(seed))
         log, delivers = [], {}
-        for i in range(_NODES):
-            delivers[i] = lambda m, i=i: log.append((sched.now, i, m))
-            net.add_node(i, delivers[i])
-        for label, (kind, *op) in enumerate(sends):
-            if kind == "advance":
-                sched.run_until(sched.now + op[0])
-            elif fan_out:
+
+        def transmit(op, label):
+            kind, sender, size, *to = op
+            if fan_out:
                 if kind == "broadcast":
-                    net.broadcast(op[0], label, op[1])
+                    net.broadcast(sender, label, size)
                 elif kind == "subset":
-                    net.broadcast(op[0], label, op[1], op[2])
+                    net.broadcast(sender, label, size, to[0])
                 else:
-                    net.send(op[0], op[2], label, op[1])
+                    net.send(sender, to[0], label, size)
+                return
+            recipients = range(_NODES) if kind == "broadcast" else \
+                to[0] if kind == "subset" else to
+            for recipient in recipients:
+                _reference_send(net, delivers, sender, recipient, label, size)
+
+        def deliver(i, message):
+            log.append((sched.now, i, message))
+            if (message, i) in reactions:
+                transmit(reactions[message, i], (message, i))
+
+        for i in range(_NODES):
+            delivers[i] = lambda m, i=i: deliver(i, m)
+            net.add_node(i, delivers[i])
+        for label, op in enumerate(sends):
+            if op[0] == "advance":
+                sched.run_until(sched.now + op[1])
             else:
-                recipients = {"broadcast": range(_NODES), "subset": op[-1],
-                              "send": [op[-1]]}[kind]
-                for recipient in recipients:
-                    _reference_send(net, delivers, op[0], recipient, label,
-                                    op[1])
+                transmit(op, label)
         sched.run_until(sched.now + 100.0)
         return log, net.rng.random()
 
     assert run(fan_out=True) == run(fan_out=False)
+
+
+class TestEventCount:
+    """Scheduler events a broadcast leaves pending."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_jitter_free_broadcast_is_self_plus_one_fan_out(self, n):
+        sched, net, _ = _net(n)
+        net.broadcast(0, "m", wire_size=100)
+        assert sched.pending() == min(n, 2)
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_jitter_free_inject_is_one_fan_out(self, n):
+        sched, net, _ = _net(n)
+        net.inject("tx", wire_size=100)
+        assert sched.pending() == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(jitter=0.005),
+        dict(links={(2, 3): LinkModel(1_000)}),   # a pair the sender is not in
+        dict(links={(0, 1): LinkModel(1_000)}),
+    ])
+    @pytest.mark.parametrize("sender", [0, CLIENT])
+    def test_jitter_or_any_link_is_one_event_per_recipient(self, kwargs,
+                                                           sender):
+        sched, net, _ = _net(8, **kwargs)
+        net.broadcast(sender, "m", wire_size=100)
+        assert sched.pending() == 8
+
+    def test_zero_delay_is_one_event_per_recipient(self):
+        sched, net, _ = _net(8)
+        net.broadcast(0, "m", wire_size=0)
+        assert sched.pending() == 8
