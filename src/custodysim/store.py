@@ -1,30 +1,28 @@
 """Content-addressed evidence storage and the user-facing workflow.
 
-Blobs live as id-named files next to a tab-separated index. Ids are the
-hash of blob plus nonce, so every acquisition can re-verify that the
-bytes on disk still match what was registered on the ledger.
+Each blob lives in ``<root>/<hex id>.bin`` with its 8-byte nonce
+appended: exactly the bytes whose hash is the id, so every acquisition
+can re-verify that the file still matches what was registered on the
+ledger, and the directory listing is the store's whole index.
 
-The index and the ledger are append-only journals, one line per
-operation, and both are read by ``_replay``. In ``index.tsv``,
-``<hex id>\t<nonce>\t<size>`` records a put and ``-\t<hex id>`` a
-delete; after a delete, opening the store compacts the index through a
-temporary file and a rename, the only time the whole index is written.
-``ledger.jsonl`` holds one JSON object per committed transaction, and
-opening the ledger applies them again through ``LedgerState.apply``. A
-last line without its trailing newline is a torn append: it is dropped
-and cut off the file, so the next append starts a line of its own. Any
-other line that does not parse, or a transaction that reverts on
-replay, is a ``StoreError`` naming the file and the line.
+``ledger.jsonl`` is the one journal: one JSON object per committed
+transaction, appended and never rewritten, and opening the ledger
+applies them again through ``LedgerState.apply``. A last line without
+its trailing newline is a torn append: ``_replay`` drops it and cuts it
+off the file, so the next append starts a line of its own. Any other
+line that does not parse, or a transaction that reverts on replay, is a
+``StoreError`` naming the file and the line.
 
 ``open_custody`` opens a store directory for one command and holds an
-exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. A
-create writes its blob, then its index line, then its ledger line; a
-discard writes its ledger line first. So a store entry, or a blob file
-named ``<hex id>.bin``, that the ledger does not name is a create or
+exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. The
+ledger line is what commits an operation: a create writes its blob file,
+then its ledger line; a discard writes its ledger line, then deletes the
+blob file. So a blob file that the ledger does not name is a create or
 discard cut short, and a command that changes the ledger deletes it
-first; ``verify`` reports it. No other file in the directory is touched.
-A store whose index names entries but that has no ledger journal is a
-``StoreError``; that includes every store written before the journal.
+first; ``verify`` reports it. No file other than a ``<64 hex>.bin`` is
+ever deleted. A store that holds blob files but no ledger journal is a
+``StoreError``, and so is a store with an ``index.tsv``, the index of an
+older format whose blob files carry no nonce.
 """
 from __future__ import annotations
 
@@ -43,6 +41,7 @@ from .ledger import (REVERT_ERRORS, Address, EvidenceEntry, EvidenceId,
 
 LEDGER = "ledger.jsonl"
 _BLOB_FILE = re.compile(r"[0-9a-f]{64}\.bin")
+_OLD_INDEX = "index.tsv"
 
 
 class StoreError(Exception):
@@ -78,13 +77,13 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _replay(path: Path, apply: Callable[[str], None]) -> int:
-    """Pass each whole line of the journal at path to apply; count them.
+def _replay(path: Path, apply: Callable[[str], None]) -> None:
+    """Pass each whole line of the journal at path to apply.
 
     A line that apply rejects is a StoreError naming the path and line.
     """
     if not path.exists():
-        return 0
+        return
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
     if end < len(data):
@@ -97,7 +96,6 @@ def _replay(path: Path, apply: Callable[[str], None]) -> int:
             # ValueError covers UnicodeDecodeError and bad JSON too
             raise StoreError(f"{path}: line {number} is malformed "
                              f"({type(err).__name__}: {err}): {line!r}") from err
-    return len(lines)
 
 
 def _text(value) -> str:
@@ -112,83 +110,52 @@ def _append_line(path: Path, line: str) -> None:
 
 
 class EvidenceStore:
-    """Flat-file store: <root>/<hex id>.bin plus <root>/index.tsv.
+    """Flat-file store: <root>/<hex id>.bin holds blob ‖ nonce.
 
-    ``put`` and ``delete`` each append one line to the index journal (see
-    the module docstring) and rewrite nothing. The index line is what
-    commits an operation: ``put`` writes the blob before its line and
-    ``delete`` removes the blob after its line, so a crash between the
-    two leaves at worst a blob file the index does not name, never an
-    index entry without its blob. Opening a store compacts the journal
-    when it holds a delete.
+    The ids and their files come from one directory listing when the
+    store opens; ``put`` writes one file and ``delete`` unlinks it.
+    Opening a directory that holds an older format's ``index.tsv`` is a
+    StoreError.
     """
-
-    INDEX = "index.tsv"
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.index_path = self.root / self.INDEX
-        self._index: dict[EvidenceId, tuple[int, int]] = {}  # id -> (nonce, size)
-        self._load_index()
+        names = os.listdir(self.root)
+        if _OLD_INDEX in names:
+            raise StoreError(f"{self.root / _OLD_INDEX} is the index of an "
+                             "older store format, whose blob files carry no "
+                             "nonce; this version cannot open the store")
+        self._files = {EvidenceId.from_hex(name[:64]): self.root / name
+                       for name in names if _BLOB_FILE.fullmatch(name)}
 
-    def _load_index(self) -> None:
-        lines = _replay(self.index_path, self._replay_line)
-        # each put adds a line and an entry, each delete a line and no entry
-        if lines != len(self._index):
-            self._compact()
-
-    def _replay_line(self, line: str) -> None:
-        fields = line.split("\t")
-        if len(fields) == 2 and fields[0] == "-":
-            del self._index[EvidenceId.from_hex(fields[1])]
-        elif len(fields) == 3:
-            self._index[EvidenceId.from_hex(fields[0])] = (
-                int(fields[1]), int(fields[2]))
-        else:
-            raise ValueError("expected 3 fields, or 2 after '-'")
-
-    def _compact(self) -> None:
-        """Atomically replace the journal with one put line per live entry."""
-        tmp = self.root / (self.INDEX + ".tmp")
-        tmp.write_text("".join(f"{eid.hex}\t{nonce}\t{size}\n"
-                               for eid, (nonce, size) in self._index.items()))
-        os.replace(tmp, self.index_path)
+    def _file(self, evidence_id: EvidenceId) -> Path:
+        path = self._files.get(evidence_id)
+        if path is None:
+            raise EvidenceNotFound(evidence_id.hex)
+        return path
 
     def put(self, evidence_id: EvidenceId, nonce: int, blob: bytes) -> None:
-        if evidence_id in self._index:
+        if evidence_id in self._files:
             raise IdCollision(evidence_id.hex)
-        (self.root / f"{evidence_id.hex}.bin").write_bytes(blob)
-        _append_line(self.index_path, f"{evidence_id.hex}\t{nonce}\t{len(blob)}")
-        self._index[evidence_id] = (nonce, len(blob))
+        path = self.root / f"{evidence_id.hex}.bin"
+        path.write_bytes(blob + nonce.to_bytes(8, "big"))
+        self._files[evidence_id] = path
 
     def get(self, evidence_id: EvidenceId) -> tuple[bytes, int]:
         """Return (blob, nonce) for a stored id."""
-        if evidence_id not in self._index:
-            raise EvidenceNotFound(evidence_id.hex)
-        nonce, _ = self._index[evidence_id]
-        blob = (self.root / f"{evidence_id.hex}.bin").read_bytes()
-        return blob, nonce
+        data = self._file(evidence_id).read_bytes()
+        return data[:-8], int.from_bytes(data[-8:], "big")
 
     def delete(self, evidence_id: EvidenceId) -> None:
-        if evidence_id not in self._index:
-            raise EvidenceNotFound(evidence_id.hex)
-        _append_line(self.index_path, f"-\t{evidence_id.hex}")
-        del self._index[evidence_id]
-        (self.root / f"{evidence_id.hex}.bin").unlink(missing_ok=True)
+        self._file(evidence_id).unlink(missing_ok=True)
+        del self._files[evidence_id]
 
     def __contains__(self, evidence_id: EvidenceId) -> bool:
-        return evidence_id in self._index
+        return evidence_id in self._files
 
     def ids(self):
-        return sorted(self._index)
-
-    def stray_files(self) -> list[Path]:
-        """Blob files, by their ``<hex id>.bin`` name, the index does not name."""
-        named = {f"{evidence_id.hex}.bin" for evidence_id in self._index}
-        return sorted(path for path in self.root.iterdir()
-                      if _BLOB_FILE.fullmatch(path.name)
-                      and path.name not in named)
+        return sorted(self._files)
 
 
 class LocalLedgerClient:
@@ -310,7 +277,8 @@ class Frontend:
 
     def _verified_blob(self, evidence_id: EvidenceId) -> bytes:
         blob, nonce = self.store.get(evidence_id)
-        if generate_id(blob, nonce, self.hash_func) != evidence_id:
+        # a file of 8 bytes or fewer holds no blob, so no id hashes to it
+        if not blob or generate_id(blob, nonce, self.hash_func) != evidence_id:
             raise IntegrityViolation(
                 f"stored bytes for {evidence_id.hex} no longer match their id")
         return blob
@@ -347,8 +315,6 @@ class Frontend:
                      for eid in sorted(stored - listed)]
         problems += [f"{eid.hex} is on the ledger but not in the store"
                      for eid in sorted(listed - stored)]
-        problems += [f"{path.name} is a blob file the store index does not name"
-                     for path in self.store.stray_files()]
         return problems
 
 
@@ -356,10 +322,11 @@ class Frontend:
 def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     """Yield a Frontend over the store at root and its journaled ledger.
 
-    The lock, the refusal of a store without its ledger journal and the
-    clean-up that reconcile asks for are described in the module
-    docstring. Commands that only read pass reconcile=False, so
-    ``verify`` sees what a command cut short left behind.
+    The lock, the refusal of an older store format or of a store without
+    its ledger journal, and the clean-up that reconcile asks for are
+    described in the module docstring. Commands that only read pass
+    reconcile=False, so ``verify`` sees what a command cut short left
+    behind.
     """
     import fcntl  # POSIX only; nothing else in the package needs it
     root = Path(root)
@@ -370,8 +337,8 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
         journal = root / LEDGER
         if not journal.exists():
             if store.ids():
-                raise StoreError(f"{journal} is missing but {store.index_path} "
-                                 f"names {len(store.ids())} entries")
+                raise StoreError(f"{journal} is missing but {root} holds "
+                                 f"{len(store.ids())} blob files")
             journal.touch()
         client = LocalLedgerClient(journal)
         if reconcile:
@@ -380,8 +347,6 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
 
 
 def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:
-    """Delete every store entry and blob file that the ledger does not name."""
+    """Delete every blob file that the ledger does not name."""
     for evidence_id in set(store.ids()) - set(client.evidence_ids()):
         store.delete(evidence_id)
-    for path in store.stray_files():
-        path.unlink()

@@ -1,6 +1,5 @@
 """Crash injection for the custody store: a write step that never happens."""
 import contextlib
-import os
 from pathlib import Path
 from unittest import mock
 
@@ -15,9 +14,8 @@ class Crash(Exception):
 def crash_at(step, tear=False):
     """Raise Crash in place of the step-th file write the store makes.
 
-    The writes counted are a journal line appended, a blob file written
-    or deleted, and a file written aside and renamed over another (the
-    index compaction). With tear, a failing append first writes half of
+    The writes counted are a ledger line appended and a blob file
+    written or deleted. With tear, a failing append first writes half of
     its line. Yields the names of the journals that got a whole line.
     """
     count, appended = 0, []
@@ -41,7 +39,5 @@ def crash_at(step, tear=False):
 
     with mock.patch.object(store_module, "_append_line", hook(real_append)), \
             mock.patch.object(Path, "write_bytes", hook(Path.write_bytes)), \
-            mock.patch.object(Path, "write_text", hook(Path.write_text)), \
-            mock.patch.object(Path, "unlink", hook(Path.unlink)), \
-            mock.patch.object(os, "replace", hook(os.replace)):
+            mock.patch.object(Path, "unlink", hook(Path.unlink)):
         yield appended

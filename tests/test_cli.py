@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from custodysim import simulation
 from custodysim.cli import METRICS_COLUMNS, _build_parser, main
 from custodysim.config import (_FIELD_PARSERS, FAULT_KINDS, ExperimentConfig,
                                read_config_file)
-from custodysim.ledger import EvidenceId
 from custodysim.store import EvidenceStore, open_custody
 from crashes import Crash, crash_at
 
@@ -365,15 +365,6 @@ class TestLedgerWorkflow:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not store.exists()
 
-    def test_malformed_index_exits_1(self, tmp_path, capsys):
-        store = tmp_path / "s"
-        store.mkdir()
-        (store / "index.tsv").write_text("not an index line\n")
-        code, _, err = _run(capsys, "ledger", "--store", str(store), "show",
-                            "ab" * 32)
-        assert code == 1
-        assert "StoreError" in err and "line 1" in err
-
     @pytest.mark.parametrize("damage", [
         lambda line: line[:40],
         lambda line: json.dumps({**json.loads(line), "time": "x"}),
@@ -434,6 +425,21 @@ def test_readme_commands_parse():
     # and README documents every ledger command, so no alias hides
     ledger = _subcommands(_subcommands(_build_parser())["ledger"])
     assert documented - {None} == set(ledger)
+
+
+def test_readme_lists_the_store_files(tmp_path, capsys):
+    # the files README's "Custody store" list names, after one create
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Custody store", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`", section, re.MULTILINE)
+    blob = tmp_path / "e.bin"
+    blob.write_bytes(b"x")
+    store = tmp_path / "s"
+    assert _run(capsys, "ledger", "--store", str(store), "create", "--file",
+                str(blob), "--as", "alice")[0] == 0
+    found = [re.sub(r"^[0-9a-f]{64}\.bin$", "<hex id>.bin", path.name)
+             for path in store.iterdir()]
+    assert sorted(found) == sorted(listed)
 
 
 _CREATE_LOOP = """
@@ -508,25 +514,21 @@ class TestLedgerStore:
             except Crash:
                 pass
         capsys.readouterr()
-        names = {path.stem for path in store.glob("*.bin")}
-        names |= {eid.hex for eid in EvidenceStore(store).ids()}
+        names = {eid.hex for eid in EvidenceStore(store).ids()}
         left = {eid for eid in names if _run(
             capsys, "ledger", "--store", str(store), "show", eid)[0] != 0}
         names.add(kept)
         # verify reports what the crash left; the next change clears it
         code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
         assert code == (1 if left else 0)
-        assert {line.split()[0].removesuffix(".bin")
-                for line in out.splitlines()} == left
+        assert {line.split()[0] for line in out.splitlines()} == left
         self._create(capsys, store, blob, who="carol")
         assert _run(capsys, "ledger", "--store", str(store), "verify") \
             == (0, "", "")
-        in_store = {eid.hex for eid in EvidenceStore(store).ids()}
         for eid in sorted(names):
             on_ledger = _run(capsys, "ledger", "--store", str(store), "show",
                              eid)[0] == 0
-            assert on_ledger == (eid in in_store) == \
-                (store / f"{eid}.bin").exists()
+            assert on_ledger == (store / f"{eid}.bin").exists()
 
     def test_user_files_in_the_store_survive(self, tmp_path, capsys):
         store = tmp_path / "s"
@@ -570,6 +572,38 @@ class TestLedgerStore:
         assert legacy.exists() == pre_journal
         assert not (store / "ledger.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["show", "acquire", "transfer",
+                                         "discard", "create", "verify"])
+    def test_older_store_format_exits_1_and_keeps_files(self, command,
+                                                        tmp_path, capsys):
+        # the older format: blob files without their nonce, and index.tsv
+        # naming each blob's nonce and size
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"old evidence")
+        eid = self._create(capsys, store, blob)
+        orphan = self._create(capsys, store, blob)
+        lines = (store / "ledger.jsonl").read_text().splitlines(keepends=True)
+        (store / "ledger.jsonl").write_text(lines[0])
+        index = ""
+        for name in (eid, orphan):
+            data = (store / f"{name}.bin").read_bytes()
+            (store / f"{name}.bin").write_bytes(data[:-8])
+            nonce = int.from_bytes(data[-8:], "big")
+            index += f"{name}\t{nonce}\t{len(data) - 8}\n"
+        (store / "index.tsv").write_text(index)
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        args = {"show": ["show", eid],
+                "acquire": ["acquire", eid, "--as", "alice"],
+                "transfer": ["transfer", eid, "--to", "bob", "--as", "alice"],
+                "discard": ["discard", eid, "--as", "alice"],
+                "create": ["create", "--file", str(blob), "--as", "alice"],
+                "verify": ["verify"]}[command]
+        code, out, err = _run(capsys, "ledger", "--store", str(store), *args)
+        assert (code, out) == (1, "")
+        assert "StoreError" in err and str(store / "index.tsv") in err
+        assert {path.name: path.read_bytes() for path in store.iterdir()} \
+            == before
+
     @pytest.mark.parametrize("damage", ["tamper", "lose-file", "lose-entry"])
     def test_verify_reports_each_problem(self, damage, tmp_path, capsys):
         store, blob = tmp_path / "s", tmp_path / "e.bin"
@@ -584,10 +618,13 @@ class TestLedgerStore:
             expected = "no longer match their id"
         elif damage == "lose-file":
             (store / f"{eid}.bin").unlink()
-            expected = "No such file"
-        else:
-            EvidenceStore(store).delete(EvidenceId.from_hex(eid))
             expected = "is on the ledger but not in the store"
+        else:
+            # the ledger loses the create's line, which is its last
+            ledger = store / "ledger.jsonl"
+            lines = ledger.read_text().splitlines(keepends=True)
+            ledger.write_text("".join(lines[:-1]))
+            expected = "is in the store but not on the ledger"
         code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
         assert code == 1
         assert len(out.splitlines()) == 1

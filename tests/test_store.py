@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,8 +17,7 @@ from custodysim.ledger import (REVERT_ERRORS, Address, EvidenceAlreadyExists,
                                remove_tx, transfer_tx)
 from custodysim.store import (EmptyEvidence, EvidenceStore, Frontend,
                               IdCollision, IntegrityViolation,
-                              LocalLedgerClient, StoreError, generate_id,
-                              open_custody)
+                              LocalLedgerClient, generate_id, open_custody)
 from crashes import Crash, crash_at
 from naive_ledger import NaiveLedger, state_snapshot
 
@@ -76,7 +76,7 @@ class TestEvidenceStore:
         assert eid not in store
         assert not (store.root / f"{eid.hex}.bin").exists()
 
-    def test_index_survives_reopen(self, tmp_path):
+    def test_ids_survive_reopen(self, tmp_path):
         root = tmp_path / "s"
         first = EvidenceStore(root)
         eid = generate_id(b"persist me", 42)
@@ -86,95 +86,21 @@ class TestEvidenceStore:
         assert second.ids() == [eid]
 
 
-def _put_line(eid, nonce, size):
-    return f"{eid.hex}\t{nonce}\t{size}\n"
-
-
-class TestIndexJournal:
-    @pytest.mark.parametrize("numbers", [(), (3, 1, 2)])
-    def test_sorted_index_from_full_rewrite_loads_unchanged(self, tmp_path,
-                                                            numbers):
-        # the layout a sorted whole-file rewrite leaves: three columns,
-        # and an empty file for an empty index
-        root = tmp_path / "s"
-        root.mkdir()
-        entries = {EvidenceId.from_int(n): (n * 7, n) for n in numbers}
-        for eid, (_, size) in entries.items():
-            (root / f"{eid.hex}.bin").write_bytes(b"b" * size)
-        text = "".join(_put_line(eid, *entries[eid]) for eid in sorted(entries))
-        (root / "index.tsv").write_text(text)
-        store = EvidenceStore(root)
-        assert store.ids() == sorted(entries)
-        for eid, (nonce, size) in entries.items():
-            assert store.get(eid) == (b"b" * size, nonce)
-        assert (root / "index.tsv").read_text() == text
-
-    @pytest.mark.parametrize("torn", ["", "ab", "-\t" + "01" * 16],
-                             ids=["whole-put", "part-put", "part-delete"])
-    def test_torn_last_line_dropped_and_compacted(self, tmp_path, torn):
-        root = tmp_path / "s"
-        first = EvidenceStore(root)
-        a, b, c = (EvidenceId.from_int(n) for n in (1, 2, 3))
-        first.put(a, 1, b"a")
-        first.put(b, 2, b"bb")
-        first.delete(a)
-        # a complete put line cut just before its newline is torn too
-        tail = torn or _put_line(c, 3, 3)[:-1]
-        with open(root / "index.tsv", "a") as index:
-            index.write(tail)
-        second = EvidenceStore(root)
-        assert second.ids() == [b]
-        assert (root / "index.tsv").read_text() == _put_line(b, 2, 2)
-        assert not (root / "index.tsv.tmp").exists()
-        second.put(c, 3, b"ccc")
-        assert EvidenceStore(root).ids() == sorted([b, c])
-
-    @pytest.mark.parametrize("bad", [
-        "", "zz" * 32 + "\t1\t1", "01" * 32 + "\t1", "01" * 32 + "\tx\t1",
-        "01" * 31 + "\t1\t1", "-\t" + "02" * 32, "-\t" + "01" * 32 + "\t1",
-        "01" * 32 + "\t1\t1\t1", "01" * 32 + "\t1\t\u00e9"], ids=[
-        "blank", "bad-hex", "two-fields", "bad-nonce", "short-id",
-        "delete-unknown", "delete-extra-field", "four-fields", "non-ascii"])
-    def test_malformed_middle_line_raises(self, tmp_path, bad):
-        root = tmp_path / "s"
-        root.mkdir()
-        eid = EvidenceId(b"\x01" * 32)
-        (root / "index.tsv").write_text(
-            _put_line(eid, 1, 1) + bad + "\n" + _put_line(eid, 1, 1))
-        with pytest.raises(StoreError, match="line 2"):
-            EvidenceStore(root)
-
-    def test_each_operation_appends_one_line(self, store):
-        path = store.root / "index.tsv"
-        live = []
-        for n in range(20):
-            before = path.read_bytes() if path.exists() else b""
-            if n % 3 == 2:
-                eid = live.pop(0)
-                store.delete(eid)
-                line = f"-\t{eid.hex}\n"
-            else:
-                eid = EvidenceId.from_int(n + 1)
-                store.put(eid, n, b"x" * n)
-                live.append(eid)
-                line = _put_line(eid, n, n)
-            assert path.read_bytes() == before + line.encode()
-        assert store.ids() == sorted(live)
-
-
 _KEYS = st.integers(0, 5)
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just("put"), _KEYS, st.integers(0, 2 ** 64 - 1)),
     st.tuples(st.just("delete"), _KEYS),
     st.tuples(st.just("reopen")),
-    st.tuples(st.just("tear"), _KEYS, st.integers(0, 80))),
+    st.tuples(st.just("litter"), _KEYS, st.sampled_from(
+        ["{}.bin.tmp", "{}.BIN", "x{}.bin", "{:.63}.bin", "notes.bin"]))),
     max_size=30)
 
 
 @given(steps=_STEPS)
 @settings(deadline=None)
 def test_store_matches_dict_model(steps):
-    """Puts, deletes, reopens and torn appends against a plain dict."""
+    """Puts, deletes, reopens and files that are not blob files, against
+    a plain dict; the directory holds exactly the model's blob files."""
     eids = [EvidenceId.from_int(k + 1) for k in range(6)]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -197,15 +123,16 @@ def test_store_matches_dict_model(steps):
                     with pytest.raises(EvidenceNotFound):
                         store.delete(eid)
             else:
-                if step[0] == "tear":
-                    line = _put_line(eids[step[1]], 5, 5)[:-1]
-                    with open(root / "index.tsv", "a") as index:
-                        index.write(line[:step[2]])
+                if step[0] == "litter":
+                    name = step[2].format(eids[step[1]].hex)
+                    (root / name).write_bytes(b"x")
                 store = EvidenceStore(root)
-                lines = (root / "index.tsv").read_text().splitlines() \
-                    if (root / "index.tsv").exists() else []
-                assert len(lines) == len(model)
             assert store.ids() == sorted(model)
+            assert {path.name: path.read_bytes()
+                    for path in root.glob("*.bin")
+                    if re.fullmatch(r"[0-9a-f]{64}\.bin", path.name)} == {
+                f"{eid.hex}.bin": blob + nonce.to_bytes(8, "big")
+                for eid, (blob, nonce) in model.items()}
             for eid in eids:
                 assert (eid in store) == (eid in model)
                 if eid in model:
@@ -290,6 +217,17 @@ class TestAcquire:
         (frontend.store.root / f"{eid.hex}.bin").write_bytes(b"doctored")
         with pytest.raises(IntegrityViolation):
             frontend.acquire_evidence(ALICE, eid)
+
+    @pytest.mark.parametrize("size", [0, 8])
+    def test_file_too_short_for_a_blob_is_tampered(self, frontend, size):
+        # the nonce takes the last 8 bytes, which leaves no blob to hash
+        eid = frontend.submit_evidence(ALICE, b"original", "d")
+        path = frontend.store.root / f"{eid.hex}.bin"
+        path.write_bytes(b"doctored"[:size])
+        with pytest.raises(IntegrityViolation, match="no longer match"):
+            frontend.acquire_evidence(ALICE, eid)
+        assert frontend.verify() == [
+            f"stored bytes for {eid.hex} no longer match their id"]
 
     def test_unknown_id(self, frontend):
         with pytest.raises(EvidenceNotFound):
@@ -376,30 +314,15 @@ class TestLedgerJournal:
             assert frontend.client.next_uid() == 6
             assert frontend.check_referential_integrity()
 
-    def test_index_and_ledger_share_one_reader(self, tmp_path, monkeypatch):
-        with open_custody(tmp_path) as frontend:
-            frontend.submit_evidence(ALICE, b"a", "")
-        replayed = []
-        real = store_module._replay
-
-        def replay(path, apply):
-            replayed.append(path.name)
-            return real(path, apply)
-
-        monkeypatch.setattr(store_module, "_replay", replay)
-        with open_custody(tmp_path):
-            pass
-        assert replayed == ["index.tsv", "ledger.jsonl"]
-
 
 @pytest.mark.parametrize("tear", [False, True])
 def test_failed_ledger_append_leaves_no_trace(tmp_path, tear):
     # a create whose ledger line fails, then more work in the same session
     with open_custody(tmp_path) as frontend:
         kept = frontend.submit_evidence(ALICE, b"kept", "")
-        with crash_at(3, tear) as appended, pytest.raises(Crash):
+        with crash_at(2, tear) as appended, pytest.raises(Crash):
             frontend.submit_evidence(ALICE, b"lost", "")
-        assert appended == ["index.tsv"]
+        assert appended == []
         assert frontend.client.evidence_ids() == [kept]
         frontend.transfer_evidence(ALICE, kept, BOB)
         frontend.submit_evidence(BOB, b"later", "")
