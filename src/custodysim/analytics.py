@@ -70,8 +70,18 @@ _BLOCK = 32              # widest block of table entries filled at once
 
 class Catalog(tuple):
     """Immutable sequence of transaction types with what knapsack queries on
-    it share: the dominant type, the best size/gas ratio, the largest size
-    and a min-gas table grown by `min_gas`. Catalog(c) of a Catalog is c."""
+    it share: the dominant type, a type of the best size/gas ratio, the
+    largest size and a min-gas table grown by `min_gas`. Catalog(c) of a
+    Catalog is c.
+
+    The table is filled from every type up to the largest size. Past it,
+    it is filled only from the types that can set an entry: a type i with
+    min_gas[size_i] < gas_i is dropped. Some other types then fill size_i
+    bytes for less gas, and swapping them in for i lowers the gas of any
+    combination holding i, so no least-gas combination of any total
+    holds i. Types tied at min_gas[size_i] == gas_i, exact duplicates
+    among them, are all kept.
+    """
 
     def __new__(cls, types: Iterable[TxType]):
         if isinstance(types, Catalog):
@@ -82,14 +92,14 @@ class Catalog(tuple):
         self.dominant = next((k for k in self if all(
             j is k or math.ceil(j.size / k.size) * k.gas <= j.gas
             for j in self)), None)
-        self.best_ratio = max(t.size / t.gas for t in self)
+        self.best = max(self, key=lambda t: t.size / t.gas)
         self.max_size = max(t.size for t in self)
-        sizes = np.array([t.size for t in self], dtype=np.int64)
+        self._sizes = np.array([t.size for t in self], dtype=np.int64)
         self._gas = np.array([t.gas for t in self], dtype=np.int64)[:, None]
         # entry v sits at index max_size + v, after a pad for v - size < 0,
         # so window row _rows[i] + lo starts at entry lo - size_i
-        self._rows = self.max_size - sizes
-        self._width = min(_BLOCK, int(sizes.min()))
+        self._rows = self.max_size - self._sizes
+        self._width = min(_BLOCK, int(self._sizes.min()))
         self._table = np.full(self.max_size + 1, _UNREACHABLE, np.int64)
         self._table[-1] = 0
         self._filled = 1
@@ -102,21 +112,35 @@ class Catalog(tuple):
         Fills min_gas[v] = min_i(min_gas[v - size_i] + gas_i) in blocks no
         wider than the smallest size, so a block reads only finished
         entries, each block in one gather-add-min over items x width.
+        The first call that finishes entry max_size drops the types that
+        cannot set an entry (see Catalog), and later blocks gather only
+        the kept ones; every entry is the same as from all types.
         """
-        pad, width = self.max_size, self._width
+        pad = self.max_size
         if vmax >= self._filled:
-            size = pad + vmax + width
+            size = pad + vmax + self._width
             if size > len(self._table):   # its filler past _filled is unread
                 self._table = np.resize(self._table, 2 * size)
-            window = sliding_window_view(self._table, width)
-            for lo in range(self._filled, vmax + 1, width):
-                best = (window[self._rows + lo] + self._gas).min(axis=0)
-                np.minimum(best, _UNREACHABLE,
-                           out=self._table[pad + lo: pad + lo + width])
-            self._filled = lo + width
+            if self._filled <= pad:
+                self._fill(min(vmax, pad))
+                if self._filled > pad:
+                    keep = self._table[pad + self._sizes] >= self._gas[:, 0]
+                    self._rows, self._gas = self._rows[keep], self._gas[keep]
+            if vmax >= self._filled:
+                self._fill(vmax)
         view = self._table[pad: pad + vmax + 1]
         view.flags.writeable = False
         return view
+
+    def _fill(self, vmax: int) -> None:
+        """Finish the blocks of entries from _filled through vmax."""
+        pad, width = self.max_size, self._width
+        window = sliding_window_view(self._table, width)
+        for lo in range(self._filled, vmax + 1, width):
+            best = (window[self._rows + lo] + self._gas).min(axis=0)
+            np.minimum(best, _UNREACHABLE,
+                       out=self._table[pad + lo: pad + lo + width])
+        self._filled = lo + width
 
 
 def standard_catalog() -> Catalog:
@@ -182,14 +206,25 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
     depend on the capacity, so all queries on one Catalog share it, and a
     plain sequence gets a throwaway Catalog. Equivalent to the classic
     capacity-axis table but tractable for gas limits in the millions.
+
+    Only a window of the table is scanned. With b the best-ratio type,
+    capacity // gas_b copies of b fit, so the answer is at least
+    lo = (capacity // gas_b) * size_b > capacity * size_b / gas_b - size_b,
+    and no more than vmax = capacity * size_b / gas_b + max_size + 1, the
+    fractional bound with slack. The window lo..vmax thus holds at most
+    size_b + max_size + 1 <= 2 * max_size + 1 entries, whatever the
+    capacity.
     """
     if capacity < 0:
         raise ValueError("capacity cannot be negative")
     if not items:
         return 0
     catalog = Catalog(items)
-    vmax = int(capacity * catalog.best_ratio) + catalog.max_size + 1
-    return int(np.flatnonzero(catalog.min_gas(vmax) <= capacity)[-1])
+    best = catalog.best
+    vmax = int(capacity * (best.size / best.gas)) + catalog.max_size + 1
+    lo = capacity // best.gas * best.size
+    window = catalog.min_gas(vmax)[lo:]
+    return lo + int(np.flatnonzero(window <= capacity)[-1])
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType]) -> int:

@@ -2,13 +2,15 @@
 
 Time is purely simulated. Given the same configuration and seed, every
 run fires the same sequence of events at the same times. A delivery
-calls the recipient's deliver callback with the message; no closure is
-built per delivery. With jitter or per-pair links, each delivery is one
-scheduler event. On a jitter-free network with only the default link, a
-broadcast is at most two events: the self-delivery now, and one fan-out
-that delivers to every other recipient, in order, when the link's delay
-has passed. Client traffic enters the network as sender ``CLIENT`` and
-takes the same path as validator traffic.
+calls one of the recipient's callbacks with the message, deliver for
+validator traffic and admit for client traffic; no closure is built per
+delivery, and a node that drops everything gets no event. With jitter
+or per-pair links, each delivery is one scheduler event. On a
+jitter-free network with only the default link, a broadcast is at most
+two events: the self-delivery now, and one fan-out that delivers to
+every other recipient, in order, when the link's delay has passed.
+Client traffic enters the network as sender ``CLIENT`` and takes the
+same path as validator traffic, up to the callback it reaches.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 CLIENT = -1  # sender id of traffic from outside the validator set
+_DROP = object()  # callback of a node that drops everything sent to it
 
 
 class SchedulingInPast(Exception):
@@ -93,6 +96,9 @@ class Network:
     channel. Self-delivery is immediate. Senders are node ids, or
     ``CLIENT`` for traffic from outside the validator set; per-pair links
     keyed on ``CLIENT`` apply to it too.
+
+    Each node registers two callbacks: deliver, for messages from nodes,
+    and admit, for messages from ``CLIENT``.
     """
 
     def __init__(self, scheduler: Scheduler, default_link: LinkModel,
@@ -103,10 +109,17 @@ class Network:
         self.links = dict(links or {})
         self.jitter = jitter
         self.rng = rng or random.Random(0)
-        self._nodes: dict[int, Callable] = {}
+        self._delivers: dict[int, object] = {}
+        self._admits: dict[int, object] = {}
 
-    def add_node(self, node_id: int, deliver: Callable) -> None:
-        self._nodes[node_id] = deliver
+    def add_node(self, node_id: int, deliver: Optional[Callable] = None,
+                 admit: Optional[Callable] = None) -> None:
+        """Register a node. ``admit`` defaults to ``deliver``; a node with
+        no deliver drops everything sent to it, and no event is scheduled
+        for it."""
+        deliver = deliver or _DROP
+        self._delivers[node_id] = deliver
+        self._admits[node_id] = admit or deliver
 
     def send(self, sender: int, recipient: int, message, wire_size: int) -> None:
         """Point-to-point: a broadcast to the one recipient."""
@@ -117,10 +130,12 @@ class Network:
         """Deliver ``message`` to each recipient after its link's delay.
 
         ``recipients`` defaults to every node, in the order they were
-        added. The default link's delay is computed once per call; a
-        per-pair link is looked up only when one exists. With jitter, each
-        non-self delivery adds ``jitter * rng.random()``, in recipient
-        order; that is the value ``rng.uniform(0.0, jitter)`` returns.
+        added. Each gets the message through its admit callback when the
+        sender is ``CLIENT``, else through its deliver callback. The
+        default link's delay is computed once per call; a per-pair link is
+        looked up only when one exists. With jitter, each non-self
+        delivery adds ``jitter * rng.random()``, in recipient order; that
+        is the value ``rng.uniform(0.0, jitter)`` returns.
 
         Without jitter or per-pair links, every non-self delivery fires at
         the same time, ``now`` plus the default delay, so one fan-out
@@ -129,8 +144,11 @@ class Network:
         that delay does not move the clock (it is 0), self and the others
         share a fire time, and one event per recipient keeps the
         self-delivery in its place.
+
+        A recipient that drops everything still draws its jitter, so the
+        other recipients' times and the rng stream do not depend on it.
         """
-        nodes = self._nodes
+        nodes = self._admits if sender == CLIENT else self._delivers
         if sender not in nodes and sender >= 0:
             raise UnknownNode(str(sender))
         default = self.default_link.transmission_delay(wire_size)
@@ -145,6 +163,8 @@ class Network:
                 deliver = nodes.get(recipient)
                 if deliver is None:
                     raise UnknownNode(str(recipient))
+                if deliver is _DROP:
+                    continue
                 if recipient == sender:
                     schedule_at(now, deliver, message)
                 else:
@@ -165,10 +185,12 @@ class Network:
                     else link.transmission_delay(wire_size)
                 if jitter > 0:
                     delay += jitter * draw()
-            schedule_at(now + delay, deliver, message)
+            if deliver is not _DROP:
+                schedule_at(now + delay, deliver, message)
 
     def inject(self, message, wire_size: int) -> None:
-        """Deliver a message from outside the validator set (e.g. a client)."""
+        """Admit a message from outside the validator set (e.g. a client)
+        at every node."""
         self.broadcast(CLIENT, message, wire_size)
 
 

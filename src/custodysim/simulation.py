@@ -99,13 +99,9 @@ class _Node:
 
     # inbound -----------------------------------------------------------
 
-    def deliver(self, message) -> None:
-        if isinstance(message, ConsensusMessage):
-            self.validator.handle(message)
-        else:  # a Transaction broadcast by a client
-            self._admit(message)
-
     def _admit(self, tx: Transaction) -> None:
+        """A client transaction; the network hands consensus messages
+        straight to validator.handle."""
         if self.sim.config.reject_invalid_at_mempool \
                 and self.ledger.validate(tx) is not None:
             return
@@ -113,15 +109,12 @@ class _Node:
 
 
 class _SilentNode(_Node):
-    """Receives everything, never acts: the silent fault model.
+    """Never acts: the silent fault model.
 
-    It drops client transactions and consensus messages alike, and the
-    simulation never starts a height on it, so it never proposes, votes
-    or arms a timer.
+    The network drops client transactions and consensus messages sent to
+    it alike, and the simulation never starts a height on it, so it never
+    proposes, votes or arms a timer.
     """
-
-    def deliver(self, message) -> None:
-        pass
 
 
 class _EquivocatingNode(_Node):
@@ -167,7 +160,10 @@ class Simulation:
         for i in range(config.validators):
             node = _FAULTS.get(behaviors.get(i), _Node)(self, i)
             self.nodes[i] = node
-            self.network.add_node(i, node.deliver)
+            if isinstance(node, _SilentNode):
+                self.network.add_node(i)   # drops everything sent to it
+            else:
+                self.network.add_node(i, node.validator.handle, node._admit)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
         # the replica whose commits and receipts the metrics report
         self.reference = self.honest[0] if self.honest else 0

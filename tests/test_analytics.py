@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from custodysim import analytics
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
@@ -22,7 +22,7 @@ from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
                                   max_block_size_ukp, plan_gas_limit,
                                   standard_catalog, ukp_max_value)
 from custodysim.ledger import Address, EvidenceId, transfer_tx
-from naive_knapsack import ukp_max_value_dense
+from naive_knapsack import min_gas_dense, ukp_max_value_dense
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +132,39 @@ class TestMaxBlockSize:
 
 
 
-tx_types = st.lists(st.builds(TxType, st.just("t"), st.integers(1, 30),
-                              st.integers(1, 50)), min_size=1, max_size=6)
+tx_type = st.builds(TxType, st.just("t"), st.integers(1, 30),
+                    st.integers(1, 50))
+tx_types = st.lists(tx_type, min_size=1, max_size=6)
+
+
+@st.composite
+def redundant_catalogs(draw):
+    """Types plus ones the table past max_size can do without: an exact
+    duplicate, the sum of two types at their summed gas or more, and a
+    type of an existing size at another gas."""
+    base = draw(st.lists(tx_type, min_size=2, max_size=5))
+    a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+    extra = [TxType("dup", a.size, a.gas),
+             TxType("sum", a.size + b.size,
+                    a.gas + b.gas + draw(st.integers(0, 20))),
+             TxType("same-size", b.size,
+                    draw(st.integers(1, 60).filter(lambda g: g != b.gas)))]
+    return draw(st.permutations(base + extra))
+
+
+def _dense_table(vmax, items):
+    """min_gas_dense in the Catalog table's terms."""
+    return [analytics._UNREACHABLE if g is None else g
+            for g in min_gas_dense(vmax, items)]
 
 
 class TestCatalogTable:
     """The min-gas table a Catalog grows on demand, in blocks as wide as
-    its smallest size (capped), against the dense capacity-axis oracle."""
+    its smallest size (capped), against the dense capacity-axis and
+    value-axis oracles. Past max_size the table is filled only from the
+    types that can set an entry, so catalogs with redundant types, steps
+    across max_size and the query window's lower end lo = (capacity //
+    gas_b) * size_b are checked in particular."""
 
     @given(st.integers(1, 50), tx_types,
            st.lists(st.integers(0, 300), min_size=1))
@@ -150,14 +176,64 @@ class TestCatalogTable:
         for cap in capacities + sorted(capacities, reverse=True):
             assert ukp_max_value(cap, catalog) == ukp_max_value_dense(cap, items)
 
-    @given(tx_types, st.lists(st.integers(0, 400), min_size=1))
+    @given(tx_types, st.lists(st.integers(-30, 400), min_size=1))
+    @example([TxType("a", 7, 3), TxType("b", 5, 4), TxType("c", 9, 5)],
+             [-1, 0, 1])
+    @example([TxType("a", 30, 40), TxType("b", 30, 41), TxType("c", 1, 50)],
+             [-29, -1, 0, 60])
     @settings(max_examples=100, deadline=None)
-    def test_table_grown_in_steps_equals_one_build(self, items, steps):
+    def test_table_grown_in_steps_equals_one_build(self, items, offsets):
         stepped, whole = Catalog(items), Catalog(items)
-        for vmax in sorted(steps):
+        steps = sorted(max(0, whole.max_size + d) for d in offsets)
+        for vmax in steps:
             stepped.min_gas(vmax)
-        vmax = max(steps)
+        vmax = steps[-1]
         assert np.array_equal(stepped.min_gas(vmax), whole.min_gas(vmax))
+        assert stepped.min_gas(vmax).tolist() == _dense_table(vmax, items)
+
+    @given(redundant_catalogs(), st.lists(st.integers(0, 400), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_redundant_types_match_dense_dp(self, items, capacities):
+        catalog = Catalog(items)
+        for cap in capacities:
+            assert ukp_max_value(cap, catalog) == ukp_max_value_dense(cap, items)
+        vmax = 3 * catalog.max_size
+        assert catalog.min_gas(vmax).tolist() == _dense_table(vmax, items)
+
+    @given(tx_types, st.integers(1, 30), st.integers(1, 50),
+           st.integers(1, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_capacities_next_to_multiples_of_the_best_gas(
+            self, types, size, gas, m, rng):
+        """Two types tied at the best ratio, the first in catalog order
+        being the window's b, and capacities k * gas_b - 1, k * gas_b and
+        k * gas_b + 1 for either."""
+        items = [t for t in types if t.size * gas < size * t.gas]
+        items += [TxType("best", size, gas), TxType("twin", m * size, m * gas)]
+        rng.shuffle(items)
+        catalog = Catalog(items)
+        for g in (gas, m * gas):
+            for k in range(0, 8):
+                for cap in (k * g - 1, k * g, k * g + 1):
+                    if cap >= 0:
+                        assert ukp_max_value(cap, catalog) == \
+                            ukp_max_value_dense(cap, items)
+
+    def test_standard_catalog_drops_types_the_kept_ones_undercut(self,
+                                                                catalog):
+        """175 of 1,027 types can set an entry; each other type's size is
+        filled by those 175 for less gas, and they alone give the same
+        table."""
+        table = catalog.min_gas(catalog.max_size)
+        kept = [t for t in catalog if table[t.size] >= t.gas]
+        dropped = [t for t in catalog if table[t.size] < t.gas]
+        assert (len(kept), len(dropped)) == (175, 852)
+        by_kept = min_gas_dense(catalog.max_size, kept)
+        assert all(by_kept[t.size] is not None and by_kept[t.size] < t.gas
+                   for t in dropped)
+        vmax = 3 * catalog.max_size
+        assert np.array_equal(Catalog(kept).min_gas(vmax),
+                              catalog.min_gas(vmax))
 
     def test_odd_totals_of_even_sizes_stay_unreachable(self):
         items = (TxType("a", 2, 300), TxType("b", 8, 1100),

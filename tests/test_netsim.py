@@ -148,6 +148,87 @@ class TestNetwork:
         assert times[0] == times[2] == pytest.approx(0.001)
 
 
+class TestCallbacks:
+    """Node traffic reaches deliver, client traffic reaches admit, and a
+    node registered without callbacks drops everything."""
+
+    @staticmethod
+    def _two_handler_net(**kwargs):
+        sched = Scheduler()
+        net = Network(sched, LinkModel(1_000_000), **kwargs)
+        log = []
+        for i in range(3):
+            net.add_node(i, lambda m, i=i: log.append(("deliver", i, m)),
+                         lambda m, i=i: log.append(("admit", i, m)))
+        return sched, net, log
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.005])
+    def test_inject_admits_and_broadcast_delivers(self, jitter):
+        sched, net, log = self._two_handler_net(jitter=jitter)
+        net.inject("tx", 100)
+        net.broadcast(1, "vote", 100)
+        net.send(2, 0, "one", 100)
+        sched.run_until(1.0)
+        assert sorted(log) == sorted(
+            [("admit", i, "tx") for i in range(3)]
+            + [("deliver", i, "vote") for i in range(3)]
+            + [("deliver", 0, "one")])
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(jitter=0.005), dict(links={(0, 1): LinkModel(1_000)})])
+    @pytest.mark.parametrize("sender", [0, CLIENT])
+    def test_unknown_recipient_on_both_paths(self, kwargs, sender):
+        _, net, _ = self._two_handler_net(**kwargs)
+        with pytest.raises(UnknownNode):
+            net.broadcast(sender, "m", 100, [1, 99])
+        with pytest.raises(UnknownNode):
+            net.send(sender, 99, "m", 100)
+
+    def test_unknown_sender(self):
+        _, net, _ = self._two_handler_net()
+        with pytest.raises(UnknownNode):
+            net.broadcast(99, "m", 100)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(jitter=0.005), dict(jitter=0.2),
+        dict(jitter=0.005, links={(0, 2): LinkModel(1_000),
+                                  (CLIENT, 3): LinkModel(5_000)})])
+    @pytest.mark.parametrize("dropper", [0, 2, 4])
+    def test_dropping_node_leaves_others_and_rng_as_a_no_op_node(
+            self, kwargs, dropper):
+        """The same arrivals at the others and the same next draw as with a
+        no-op deliver, and no event for the dropping node."""
+        def run(drops):
+            sched = Scheduler()
+            net = Network(sched, LinkModel(1_000_000, 0.01),
+                          rng=random.Random(3), **kwargs)
+            log, pending = [], []
+            for i in range(5):
+                if i != dropper:
+                    net.add_node(i, lambda m, i=i: log.append((sched.now, i, m)))
+                elif drops:
+                    net.add_node(i)
+                else:
+                    net.add_node(i, lambda m: None)
+            for label, sender in enumerate([0, 1, CLIENT, 4, 2, CLIENT]):
+                if sender == dropper:
+                    continue   # a dropping node never sends
+                before = sched.pending()
+                net.broadcast(sender, label, 700)
+                pending.append(sched.pending() - before)
+                sched.run_until(sched.now + 0.003)
+            sched.run_until(sched.now + 10.0)
+            return log, net.rng.random(), pending
+
+        dropped, kept = run(drops=True), run(drops=False)
+        assert dropped[:2] == kept[:2]
+        # with one event per delivery, the dropping node's is missing; a
+        # jitter-free fan-out is one event either way
+        fewer = 1 if kwargs else 0
+        assert [k - d for d, k in zip(dropped[2], kept[2])] == \
+            [fewer] * len(kept[2])
+
+
 def _reference_send(net, delivers, sender, recipient, message, wire_size):
     """Network.send as it was before broadcast did the fan-out itself: one
     link lookup, one ``rng.uniform`` draw and one closure per delivery."""
