@@ -4,13 +4,17 @@ Covers block inclusion and consensus latency, maximum block size (both
 the knapsack oracle and its closed form), header overhead, chain growth
 rate, and the lower/upper-bound procedure for choosing the block gas
 limit. A `Catalog` of transaction types holds what block-size queries on
-it share: its dominant type and a knapsack table grown on demand.
+it share: its dominant type and a knapsack table, filled once up to the
+window from which it repeats, that answers every gas limit.
 """
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,22 +69,29 @@ def create_type(length: int) -> TxType:
 
 _UKP_CAP = 100_000_000   # largest gas limit the exact solver takes
 _UNREACHABLE = 2 ** 62   # min-gas of a byte total that no types sum to
-_BLOCK = 32              # widest block of table entries filled at once
+_BLOCK = 64              # widest block of table entries filled at once
 
 
 class Catalog(tuple):
     """Immutable sequence of transaction types with what knapsack queries on
-    it share: the dominant type, a type of the best size/gas ratio, the
-    largest size and a min-gas table grown by `min_gas`. Catalog(c) of a
-    Catalog is c.
+    it share: the dominant type, a type b of the best size/gas ratio, the
+    largest size and the min-gas table that `min_gas` reads. Catalog(c) of
+    a Catalog is c.
 
-    The table is filled from every type up to the largest size. Past it,
-    it is filled only from the types that can set an entry: a type i with
-    min_gas[size_i] < gas_i is dropped. Some other types then fill size_i
-    bytes for less gas, and swapping them in for i lowers the gas of any
-    combination holding i, so no least-gas combination of any total
-    holds i. Types tied at min_gas[size_i] == gas_i, exact duplicates
-    among them, are all kept.
+    The table is filled only from the types that can set an entry: once
+    entry size_i is final, a type i with min_gas[size_i] < gas_i is
+    dropped, as the types filling size_i bytes for less gas replace it in
+    any combination. Ties, exact duplicates among them, are kept.
+
+    The table is periodic in b (Gilmore & Gomory, Operations Research 14,
+    1966): if min_gas[v] == min_gas[v - size_b] + gas_b (two _UNREACHABLE
+    entries count as equal) for max_size entries in a row from w on, it
+    holds for every v >= w, as each later entry reads only entries at or
+    above w. Such a w is at most (size_b - 1) * max_size + 1: size_b
+    other types hold some whose sizes sum to a multiple of size_b, which
+    copies of b fill for no more gas, so every larger total has a
+    least-gas combination holding b. The first query fills the table,
+    once, through the first such window.
     """
 
     def __new__(cls, types: Iterable[TxType]):
@@ -94,53 +105,78 @@ class Catalog(tuple):
             for j in self)), None)
         self.best = max(self, key=lambda t: t.size / t.gas)
         self.max_size = max(t.size for t in self)
-        self._sizes = np.array([t.size for t in self], dtype=np.int64)
-        self._gas = np.array([t.gas for t in self], dtype=np.int64)[:, None]
-        # entry v sits at index max_size + v, after a pad for v - size < 0,
-        # so window row _rows[i] + lo starts at entry lo - size_i
-        self._rows = self.max_size - self._sizes
-        self._width = min(_BLOCK, int(self._sizes.min()))
-        self._table = np.full(self.max_size + 1, _UNREACHABLE, np.int64)
-        self._table[-1] = 0
-        self._filled = 1
         return self
 
-    def min_gas(self, vmax: int) -> np.ndarray:
-        """Read-only view of the least gas that fills exactly v bytes, for
-        v = 0..vmax, and _UNREACHABLE where no types sum to v bytes.
+    @cached_property
+    def _periodic(self) -> tuple:
+        """(w, table): the start w of the first periodic window, and the
+        read-only table through at least entry w + max_size - 1.
 
         Fills min_gas[v] = min_i(min_gas[v - size_i] + gas_i) in blocks no
         wider than the smallest size, so a block reads only finished
-        entries, each block in one gather-add-min over items x width.
-        The first call that finishes entry max_size drops the types that
-        cannot set an entry (see Catalog), and later blocks gather only
-        the kept ones; every entry is the same as from all types.
+        entries, in one gather-add-min over types x width, and stops at
+        the end of the window, so it fills O(w + max_size) entries.
         """
-        pad = self.max_size
-        if vmax >= self._filled:
-            size = pad + vmax + self._width
-            if size > len(self._table):   # its filler past _filled is unread
-                self._table = np.resize(self._table, 2 * size)
-            if self._filled <= pad:
-                self._fill(min(vmax, pad))
-                if self._filled > pad:
-                    keep = self._table[pad + self._sizes] >= self._gas[:, 0]
-                    self._rows, self._gas = self._rows[keep], self._gas[keep]
-            if vmax >= self._filled:
-                self._fill(vmax)
-        view = self._table[pad: pad + vmax + 1]
-        view.flags.writeable = False
-        return view
+        pad, b = self.max_size, self.best
+        sizes = np.array([t.size for t in self], dtype=np.int64)
+        gas = np.array([t.gas for t in self], dtype=np.int64)
+        width = min(_BLOCK, int(sizes.min()))
+        # entry v sits at index pad + v, after a pad for v - size < 0;
+        # unfilled entries are _UNREACHABLE too, so every type not sized
+        # below lo passes the keep test
+        table = np.full(pad + 1, _UNREACHABLE, np.int64)
+        table[pad] = 0
+        lo, run = 1, 0   # the next entry to fill; periodic entries before it
+        while run < pad:
+            if pad + lo + width > len(table):
+                table = np.concatenate(
+                    (table, np.full_like(table, _UNREACHABLE)))
+                window = sliding_window_view(table, width)
+            if lo <= pad + width:   # keep or drop types sized below lo
+                use = np.flatnonzero((sizes < lo + width)
+                                     & (table[pad + sizes] >= gas))
+                rows, cost = pad - sizes[use], gas[use, None]
+            block = table[pad + lo: pad + lo + width]
+            (window[rows + lo] + cost).min(axis=0, initial=_UNREACHABLE,
+                                           out=block)
+            back = table[pad + lo - b.size: pad + lo - b.size + width] + b.gas
+            miss = np.flatnonzero(block != np.minimum(back, _UNREACHABLE))
+            run = run + width if miss.size == 0 else width - 1 - int(miss[-1])
+            lo += width
+        table = table[pad: pad + lo]
+        table.flags.writeable = False
+        return lo - run, table
 
-    def _fill(self, vmax: int) -> None:
-        """Finish the blocks of entries from _filled through vmax."""
-        pad, width = self.max_size, self._width
-        window = sliding_window_view(self._table, width)
-        for lo in range(self._filled, vmax + 1, width):
-            best = (window[self._rows + lo] + self._gas).min(axis=0)
-            np.minimum(best, _UNREACHABLE,
-                       out=self._table[pad + lo: pad + lo + width])
-        self._filled = lo + width
+    @cached_property
+    def _reduced(self) -> tuple:
+        """(c0, least): the base capacity c0 = ((w + size_b) // size_b + 1)
+        * gas_b that ukp_max_value reduces larger capacities to, and
+        least[v] = min(min_gas[v..end]), end being the fractional bound
+        capacity * size_b / gas_b + max_size + 1 at capacity c0 + gas_b -
+        1. So the optimum of a capacity below c0 + gas_b is the last v
+        with least[v] <= capacity.
+        """
+        b = self.best
+        base = ((self._periodic[0] + b.size) // b.size + 1) * b.gas
+        end = int((base + b.gas - 1) * (b.size / b.gas)) + self.max_size + 1
+        least = np.minimum.accumulate(self.min_gas(end)[::-1])[::-1]
+        return base, least.tolist()
+
+    def min_gas(self, vmax: int) -> np.ndarray:
+        """Read-only array of the least gas that fills exactly v bytes, for
+        v = 0..vmax, and _UNREACHABLE where no types sum to v bytes. Past
+        the table, entry v is min_gas[v - k * size_b] + k * gas_b with v -
+        k * size_b in w..w + size_b - 1, clamped at _UNREACHABLE.
+        """
+        start, table = self._periodic
+        if vmax < len(table):
+            return table[:vmax + 1]
+        k, r = np.divmod(np.arange(len(table), vmax + 1) - start,
+                         self.best.size)
+        tail = np.minimum(table[start + r] + k * self.best.gas, _UNREACHABLE)
+        out = np.concatenate((table, tail))
+        out.flags.writeable = False
+        return out
 
 
 def standard_catalog() -> Catalog:
@@ -170,15 +206,19 @@ def latency_gas_bound(max_latency: float, params: ChainParams) -> int:
 
     Assumes TRANSFER dominates the standard catalog, as TestDominance::
     test_transfer_dominates_full_catalog checks.
-    Raises AnalyticsError when even a header-only block misses the target.
+    Raises AnalyticsError when even a header-only block misses the target,
+    or when the target's byte budget is not a finite float.
     """
     floor = consensus_latency(HEADER_SIZE, params)
     if max_latency < floor:
         raise AnalyticsError(
             f"latency target {max_latency} s is below the empty block's "
             f"{floor} s")
-    budget = int(max_latency * params.bandwidth) - PREPREPARE_OVERHEAD \
-        - PREPARE_SIZE - COMMIT_SIZE
+    budget = max_latency * params.bandwidth
+    if not math.isfinite(budget):
+        raise AnalyticsError(
+            f"latency target {max_latency} s overflows a float in bytes")
+    budget = int(budget) - PREPREPARE_OVERHEAD - PREPARE_SIZE - COMMIT_SIZE
     # max: at the floor itself, int() may round the byte budget down by one
     k = max(0, budget - HEADER_SIZE) // TRANSFER.size
     return (k + 1) * TRANSFER.gas - 1
@@ -204,16 +244,12 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
     Runs the DP over the value axis: the largest byte total whose entry
     in the catalog's min-gas table fits the capacity. The table does not
     depend on the capacity, so all queries on one Catalog share it, and a
-    plain sequence gets a throwaway Catalog. Equivalent to the classic
-    capacity-axis table but tractable for gas limits in the millions.
+    plain sequence gets a throwaway Catalog.
 
-    Only a window of the table is scanned. With b the best-ratio type,
-    capacity // gas_b copies of b fit, so the answer is at least
-    lo = (capacity // gas_b) * size_b > capacity * size_b / gas_b - size_b,
-    and no more than vmax = capacity * size_b / gas_b + max_size + 1, the
-    fractional bound with slack. The window lo..vmax thus holds at most
-    size_b + max_size + 1 <= 2 * max_size + 1 entries, whatever the
-    capacity.
+    With b the best-ratio type, a capacity C >= c0 is answered as
+    ukp(C - k * gas_b) + k * size_b, k = (C - c0) // gas_b: both optima
+    lie past w, where size_b more bytes cost exactly gas_b more. So every
+    capacity is one binary search in one fixed table (Catalog._reduced).
     """
     if capacity < 0:
         raise ValueError("capacity cannot be negative")
@@ -221,10 +257,9 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
         return 0
     catalog = Catalog(items)
     best = catalog.best
-    vmax = int(capacity * (best.size / best.gas)) + catalog.max_size + 1
-    lo = capacity // best.gas * best.size
-    window = catalog.min_gas(vmax)[lo:]
-    return lo + int(np.flatnonzero(window <= capacity)[-1])
+    base, least = catalog._reduced
+    k = max(0, capacity - base) // best.gas
+    return k * best.size + bisect_right(least, capacity - k * best.gas) - 1
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType]) -> int:
@@ -378,6 +413,9 @@ def annual_growth_row(n: int,
     multiset = annual_multiset(n)
     content = sum(t.size * c for t, c in multiset)
     total = growth_rate(0, YEAR_SECONDS, period, multiset)
+    if total > sys.float_info.max:
+        raise AnalyticsError(
+            f"period {period} s overflows a float in bytes per year")
     overhead = header_overhead(YEAR_SECONDS, period)
     return GrowthReportRow(n, content, total,
                            float(overhead / total) * 100.0)

@@ -151,8 +151,14 @@ def parse_value(key: str, text: str):
 
 
 def read_config_file(path: Path) -> dict:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from err
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -94,9 +94,6 @@ class Address:
     def hex(self) -> str:
         return self.value.hex()
 
-    def is_zero(self) -> bool:
-        return self.value == b"\x00" * 20
-
 
 ZERO_ADDRESS = Address(b"\x00" * 20)
 

@@ -159,12 +159,15 @@ def _dense_table(vmax, items):
 
 
 class TestCatalogTable:
-    """The min-gas table a Catalog grows on demand, in blocks as wide as
-    its smallest size (capped), against the dense capacity-axis and
-    value-axis oracles. Past max_size the table is filled only from the
-    types that can set an entry, so catalogs with redundant types, steps
-    across max_size and the query window's lower end lo = (capacity //
-    gas_b) * size_b are checked in particular."""
+    """The min-gas table a Catalog fills once, in blocks as wide as its
+    smallest size (capped), up to the window from which it is periodic in
+    the best-ratio type b, against the dense capacity-axis and value-axis
+    oracles. The fill gathers only the types that can set an entry, so
+    catalogs with redundant types are checked in particular. Entries past
+    the stored table, and capacities from the base c0 on, which
+    ukp_max_value answers by subtracting multiples of gas_b, come from
+    the period, so reads far past max_size, capacities next to multiples
+    of gas_b and capacities around c0 are checked too."""
 
     @given(st.integers(1, 50), tx_types,
            st.lists(st.integers(0, 300), min_size=1))
@@ -234,6 +237,49 @@ class TestCatalogTable:
         vmax = 3 * catalog.max_size
         assert np.array_equal(Catalog(kept).min_gas(vmax),
                               catalog.min_gas(vmax))
+
+    @given(st.one_of(tx_types, redundant_catalogs()),
+           st.lists(st.integers(0, 3000), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_capacities_past_the_base_match_dense_dp(self, items, capacities):
+        """On tx_types catalogs (sizes <= 30, gas <= 50) c0 is at most
+        32 * 50, so most capacities up to 3,000 are answered from the
+        period; c0 and its neighbours are checked on every catalog."""
+        catalog = Catalog(items)
+        base, gas_b = catalog._reduced[0], catalog.best.gas
+        for cap in capacities + [base - 1, base, base + gas_b - 1,
+                                 base + gas_b]:
+            assert ukp_max_value(cap, catalog) == ukp_max_value_dense(cap, items)
+
+    @given(st.one_of(tx_types, redundant_catalogs()))
+    @settings(max_examples=100, deadline=None)
+    def test_entries_past_the_stored_table_follow_the_period(self, items):
+        catalog = Catalog(items)
+        vmax = 3 * len(catalog._periodic[1]) + catalog.max_size
+        table = catalog.min_gas(vmax)
+        assert table.tolist() == _dense_table(vmax, items)
+        with pytest.raises(ValueError):
+            table[-1] = 0
+
+    def test_standard_catalog_matches_closed_form_past_the_base(self,
+                                                                catalog):
+        """The window starts at w = 381, so c0 = 4 * 80,502; capacities
+        next to it, next to multiples of the transfer's gas near the
+        solver cap, and the cap itself."""
+        assert catalog._periodic[0] == 381
+        base = catalog._reduced[0]
+        assert base == 4 * TRANSFER.gas
+        caps = [base - 1, base, base + 1, 10 ** 8] + [
+            k * TRANSFER.gas + d for k in (1240, 1241, 1242) for d in (-1, 0, 1)]
+        for g in caps:
+            assert max_block_size_ukp(g, catalog) == \
+                max_block_size_closed_form(g, catalog)
+
+    def test_table_stays_small_after_a_query_at_the_cap(self):
+        catalog = standard_catalog()
+        max_block_size_ukp(10 ** 8, catalog)
+        assert len(catalog._periodic[1]) < 4000
+        assert len(catalog._reduced[1]) < 4000
 
     def test_odd_totals_of_even_sizes_stay_unreachable(self):
         items = (TxType("a", 2, 300), TxType("b", 8, 1100),

@@ -138,6 +138,13 @@ class TestConfigSurface:
         assert code == 2
         assert f"config error: {cfg}:2: bad value for {line.split()[0]}" in err
 
+    def test_non_utf8_config_exits_2_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bytes.cfg"
+        cfg.write_bytes(b"periods = 3\n\xff\xfe\n")
+        code, _, err = _run(capsys, "sim", "run", "--config", str(cfg))
+        assert code == 2
+        assert err == f"config error: {cfg}:2: not UTF-8 text\n"
+
 
 # scenario -> (sim run flags, SHA-256 of the --out CSV, SHA-256 of stderr)
 GOLDEN_RUNS = {
@@ -179,6 +186,33 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+# analyze flags -> SHA-256 of stdout
+UKP_CHECK_SHA = "4610a74c3304e743bc933bdaa791b47d8f4eaf0bb15643638feaacfe892975e4"
+GOLDEN_ANALYZE = {
+    "table2": ([], "10394e06e95bf4ebf204684ac0c4d4684644589c644c677bbc749be5dd634183"),
+    "fig3": ([], "f05a1ca60ccd2222493b2ee69b1e71a698fda7c544f6e382d1c7955b0c7ee9fb"),
+    "plan-gas-limit": (["--max-gas-rate", "500000", "--avg-gas-rate", "200000",
+                        "--max-consensus-latency", "0.01"],
+                       "d857b6431c6fdfb3a96661a768058afbe4afca04b5ebdd28f86704ceab150f03"),
+    **{f"ukp-check --seed {seed}": (["--seed", str(seed)], UKP_CHECK_SHA)
+       for seed in range(5)},
+    "ukp-check --max-gas 100000000": (["--max-gas", "100000000"],
+                                      UKP_CHECK_SHA),
+}
+
+
+class TestGoldenAnalyze:
+    """`analyze` stdout pinned byte for byte, so a refactor of the
+    analytics module that keeps its results keeps these hashes."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+    def test_analyze_output_unchanged(self, name, capsys):
+        flags, sha = GOLDEN_ANALYZE[name]
+        code, out, _ = _run(capsys, "analyze", name.split()[0], *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestSimSweep:
@@ -289,6 +323,18 @@ class TestAnalyze:
         assert code == 2
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["table2", "--period", "1e-300"],
+         "period 1e-300 s overflows a float in bytes per year"),
+        (["plan-gas-limit", "--max-gas-rate", "1", "--avg-gas-rate", "1",
+          "--max-consensus-latency", "1e308"],
+         "latency target 1e+308 s overflows a float in bytes"),
+    ], ids=["table2", "plan-gas-limit"])
+    def test_overflowing_results_exit_2(self, argv, message, capsys):
+        code, out, err = _run(capsys, "analyze", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["table2", "--period", "nan"],
