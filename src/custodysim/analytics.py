@@ -33,10 +33,6 @@ class AnalyticsError(Exception):
     pass
 
 
-class CapacityTooLargeForExactDP(AnalyticsError):
-    pass
-
-
 class InvalidMaxSize(AnalyticsError):
     pass
 
@@ -67,7 +63,6 @@ def create_type(length: int) -> TxType:
                   ledger.create_gas(length))
 
 
-_UKP_CAP = 100_000_000   # largest gas limit the exact solver takes
 _UNREACHABLE = 2 ** 62   # min-gas of a byte total that no types sum to
 _BLOCK = 64              # widest block of table entries filled at once
 
@@ -243,8 +238,9 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
 
     Runs the DP over the value axis: the largest byte total whose entry
     in the catalog's min-gas table fits the capacity. The table does not
-    depend on the capacity, so all queries on one Catalog share it, and a
-    plain sequence gets a throwaway Catalog.
+    depend on the capacity, so all queries on one Catalog share it. A
+    plain sequence gets a throwaway Catalog, which fills the whole table
+    again on every call: pass a Catalog to query one catalog often.
 
     With b the best-ratio type, a capacity C >= c0 is answered as
     ukp(C - k * gas_b) + k * size_b, k = (C - c0) // gas_b: both optima
@@ -263,11 +259,7 @@ def ukp_max_value(capacity: int, items: Sequence[TxType]) -> int:
 
 
 def max_block_size_ukp(gas_limit: int, catalog: Sequence[TxType]) -> int:
-    """Maximum block size via the exact knapsack solver."""
-    if gas_limit > _UKP_CAP:
-        raise CapacityTooLargeForExactDP(
-            f"gas limit {gas_limit} exceeds the exact-solver cap "
-            f"{_UKP_CAP}; use the closed form")
+    """Maximum block size via the exact knapsack solver, at any gas limit."""
     return HEADER_SIZE + ukp_max_value(gas_limit, catalog)
 
 

@@ -1,9 +1,11 @@
 """Content-addressed evidence storage and the user-facing workflow.
 
 Each blob lives in ``<root>/<hex id>.bin`` with its 8-byte nonce
-appended: exactly the bytes whose hash is the id, so every acquisition
-can re-verify that the file still matches what was registered on the
-ledger, and the directory listing is the store's whole index.
+appended: exactly the bytes whose hash is the id, and the directory
+listing is the store's whole index. So every acquisition, and ``verify``
+for each file, reads the file once and hashes exactly the bytes it read:
+the file still matches what was registered on the ledger when that hash
+is the id.
 
 ``ledger.jsonl`` is the one journal: one JSON object per committed
 transaction, appended and never rewritten, and opening the ledger
@@ -29,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import operator
 import os
 import random
 import re
@@ -77,6 +80,10 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# EvidenceId's own order, without a Python-level __lt__ per comparison
+_id_bytes = operator.attrgetter("value")
+
+
 def _replay(path: Path, apply: Callable[[str], None]) -> None:
     """Pass each whole line of the journal at path to apply.
 
@@ -96,6 +103,20 @@ def _replay(path: Path, apply: Callable[[str], None]) -> None:
             # ValueError covers UnicodeDecodeError and bad JSON too
             raise StoreError(f"{path}: line {number} is malformed "
                              f"({type(err).__name__}: {err}): {line!r}") from err
+
+
+def _read_file(path: Path) -> bytes:
+    """All of the file at path, read with no buffered reader in between."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size)
+        # one read returns at most about 2 GiB
+        while len(data) < size and (more := os.read(fd, size - len(data))):
+            data += more
+        return data
+    finally:
+        os.close(fd)
 
 
 def _text(value) -> str:
@@ -142,9 +163,13 @@ class EvidenceStore:
         path.write_bytes(blob + nonce.to_bytes(8, "big"))
         self._files[evidence_id] = path
 
+    def read(self, evidence_id: EvidenceId) -> bytes:
+        """The stored file of an id as it is: blob ‖ nonce, if intact."""
+        return _read_file(self._file(evidence_id))
+
     def get(self, evidence_id: EvidenceId) -> tuple[bytes, int]:
         """Return (blob, nonce) for a stored id."""
-        data = self._file(evidence_id).read_bytes()
+        data = self.read(evidence_id)
         return data[:-8], int.from_bytes(data[-8:], "big")
 
     def delete(self, evidence_id: EvidenceId) -> None:
@@ -154,8 +179,12 @@ class EvidenceStore:
     def __contains__(self, evidence_id: EvidenceId) -> bool:
         return evidence_id in self._files
 
-    def ids(self):
-        return sorted(self._files)
+    def __iter__(self) -> Iterator[EvidenceId]:
+        """The stored ids in no set order; ``ids`` sorts them."""
+        return iter(self._files)
+
+    def ids(self) -> list[EvidenceId]:
+        return sorted(self._files, key=_id_bytes)
 
 
 class LocalLedgerClient:
@@ -219,6 +248,13 @@ class LocalLedgerClient:
     def get_entry(self, evidence_id: EvidenceId) -> EvidenceEntry:
         return self.state.get_evidence(evidence_id)
 
+    def owner(self, evidence_id: EvidenceId) -> Address:
+        """The current owner, read in place: no copy of the entry."""
+        entry = self.state.evidences.get(evidence_id)
+        if entry is None:
+            raise EvidenceNotFound(evidence_id.hex)
+        return entry.owner
+
     def evidence_ids(self) -> list[EvidenceId]:
         return list(self.state.evidences)
 
@@ -270,18 +306,24 @@ class Frontend:
 
     def acquire_evidence(self, requester: Address,
                          evidence_id: EvidenceId) -> bytes:
-        entry = self.client.get_entry(evidence_id)  # raises EvidenceNotFound
-        if requester != entry.owner:
-            raise NotOwner(f"{requester.hex} is not the current owner")
-        return self._verified_blob(evidence_id)
+        """The blob, for its current owner only, once its file is checked.
 
-    def _verified_blob(self, evidence_id: EvidenceId) -> bytes:
-        blob, nonce = self.store.get(evidence_id)
+        The file is read once, and exactly the bytes read are hashed: an
+        intact file holds blob ‖ nonce, whose hash is the id.
+        """
+        # an unknown id raises EvidenceNotFound
+        if requester != self.client.owner(evidence_id):
+            raise NotOwner(f"{requester.hex} is not the current owner")
+        return self._checked_file(evidence_id)[:-8]
+
+    def _checked_file(self, evidence_id: EvidenceId) -> bytes:
+        """The id's file, blob ‖ nonce, once its bytes hash to the id."""
+        data = self.store.read(evidence_id)
         # a file of 8 bytes or fewer holds no blob, so no id hashes to it
-        if not blob or generate_id(blob, nonce, self.hash_func) != evidence_id:
+        if len(data) <= 8 or self.hash_func(data) != evidence_id.value:
             raise IntegrityViolation(
                 f"stored bytes for {evidence_id.hex} no longer match their id")
-        return blob
+        return data
 
     def transfer_evidence(self, owner: Address, evidence_id: EvidenceId,
                           new_owner: Address) -> None:
@@ -299,23 +341,31 @@ class Frontend:
 
     def check_referential_integrity(self) -> bool:
         """Every stored id has a ledger entry and vice versa."""
-        return set(self.store.ids()) == set(self.client.evidence_ids())
+        return set(self.store) == set(self.client.evidence_ids())
 
     def verify(self) -> list[str]:
         """One line per problem: a blob that cannot be read or no longer
-        hashes to its id, or an id that only one of store and ledger holds."""
-        problems = []
-        for evidence_id in self.store.ids():
+        hashes to its id, or an id that only one of store and ledger holds.
+
+        Each stored file is read once, and exactly the bytes read are
+        hashed, as on acquisition. The lines come in that order of kinds,
+        and by id within each kind.
+        """
+        stored, listed = set(self.store), set(self.client.evidence_ids())
+        damaged, unlisted, missing = [], [], []
+        for eid in sorted(stored | listed, key=_id_bytes):
+            if eid not in stored:
+                missing.append(
+                    f"{eid.hex} is on the ledger but not in the store")
+                continue
             try:
-                self._verified_blob(evidence_id)
+                self._checked_file(eid)
             except (IntegrityViolation, OSError) as err:
-                problems.append(str(err))
-        stored, listed = set(self.store.ids()), set(self.client.evidence_ids())
-        problems += [f"{eid.hex} is in the store but not on the ledger"
-                     for eid in sorted(stored - listed)]
-        problems += [f"{eid.hex} is on the ledger but not in the store"
-                     for eid in sorted(listed - stored)]
-        return problems
+                damaged.append(str(err))
+            if eid not in listed:
+                unlisted.append(
+                    f"{eid.hex} is in the store but not on the ledger")
+        return damaged + unlisted + missing
 
 
 @contextlib.contextmanager
@@ -348,5 +398,5 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
 
 def _reconcile(store: EvidenceStore, client: LocalLedgerClient) -> None:
     """Delete every blob file that the ledger does not name."""
-    for evidence_id in set(store.ids()) - set(client.evidence_ids()):
+    for evidence_id in set(store) - set(client.evidence_ids()):
         store.delete(evidence_id)

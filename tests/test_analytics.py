@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from custodysim import analytics
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
-                                  CapacityTooLargeForExactDP, Catalog,
-                                  ChainParams,
+                                  Catalog, ChainParams,
                                   GasRateSummary, InvalidBounds,
                                   InvalidMaxSize, MIB, TxType, YEAR_SECONDS,
                                   annual_growth_table,
@@ -110,9 +109,11 @@ class TestMaxBlockSize:
     def test_below_cheapest_item(self, catalog):
         assert max_block_size_ukp(80000, catalog) == 1909
 
-    def test_capacity_cap(self, catalog):
-        with pytest.raises(CapacityTooLargeForExactDP):
-            max_block_size_ukp(10 ** 9, catalog)
+    def test_no_capacity_cap(self, catalog):
+        # the table is bounded, so the exact solver takes any gas limit
+        for g in (10 ** 8 + 1, 10 ** 9, 10 ** 12):
+            assert max_block_size_ukp(g, catalog) == \
+                max_block_size_closed_form(g, catalog)
 
     def test_negative_gas_limit_rejected(self, catalog):
         for solver in (max_block_size_closed_form, max_block_size_ukp):
@@ -264,8 +265,8 @@ class TestCatalogTable:
     def test_standard_catalog_matches_closed_form_past_the_base(self,
                                                                 catalog):
         """The window starts at w = 381, so c0 = 4 * 80,502; capacities
-        next to it, next to multiples of the transfer's gas near the
-        solver cap, and the cap itself."""
+        next to it, next to multiples of the transfer's gas near 1e8, and
+        1e8 itself."""
         assert catalog._periodic[0] == 381
         base = catalog._reduced[0]
         assert base == 4 * TRANSFER.gas
@@ -309,7 +310,8 @@ class TestDominance:
 
     def test_adversarial_catalog(self):
         cheap = TxType("cheap", 1000, 10)
-        cat = (cheap, TxType("transferish", 174, 80502))
+        # one Catalog: each plain sequence would fill the table again
+        cat = Catalog((cheap, TxType("transferish", 174, 80502)))
         assert dominance_check(cat) is cheap
         # confirmed by the solver on small capacities
         for cap in range(0, 200, 7):

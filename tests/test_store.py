@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -85,6 +86,14 @@ class TestEvidenceStore:
         assert second.get(eid) == (b"persist me", 42)
         assert second.ids() == [eid]
 
+    def test_a_short_read_is_continued(self, store, monkeypatch):
+        # a single read returns at most about 2 GiB; here at most 3 bytes
+        eid = generate_id(b"payload", 3)
+        store.put(eid, 3, b"payload")
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, 3)))
+        assert store.get(eid) == (b"payload", 3)
+
 
 _KEYS = st.integers(0, 5)
 _STEPS = st.lists(st.one_of(
@@ -128,6 +137,7 @@ def test_store_matches_dict_model(steps):
                     (root / name).write_bytes(b"x")
                 store = EvidenceStore(root)
             assert store.ids() == sorted(model)
+            assert set(store) == set(model)
             assert {path.name: path.read_bytes()
                     for path in root.glob("*.bin")
                     if re.fullmatch(r"[0-9a-f]{64}\.bin", path.name)} == {
@@ -232,6 +242,45 @@ class TestAcquire:
     def test_unknown_id(self, frontend):
         with pytest.raises(EvidenceNotFound):
             frontend.acquire_evidence(ALICE, generate_id(b"ghost", 0))
+
+    @given(blob=st.binary(min_size=1, max_size=64),
+           nonce=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_hash_of_exactly_the_stored_bytes(self, blob, nonce):
+        calls, digests = [], []
+
+        def recording(data):
+            calls.append(data)
+            digests.append(hashlib.sha256(data).digest())
+            return digests[-1]
+
+        eid = generate_id(blob, nonce)
+        client = LocalLedgerClient()
+        client.submit(create_tx(1, ALICE, eid, "d", 0.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            store = EvidenceStore(Path(tmp))
+            store.put(eid, nonce, blob)
+            frontend = Frontend(store, client, hash_func=recording)
+            assert frontend.acquire_evidence(ALICE, eid) == blob
+            assert store.get(eid) == (blob, nonce)
+        assert calls == [blob + nonce.to_bytes(8, "big")]
+        assert type(calls[0]) is bytes
+        assert digests == [eid.value]
+
+    def test_refusals_do_not_read_the_file(self, frontend):
+        eid = frontend.submit_evidence(ALICE, b"original", "d")
+        orphan = generate_id(b"orphan", 0)
+        frontend.store.put(orphan, 0, b"orphan")
+        for evidence_id in (eid, orphan):
+            (frontend.store.root / f"{evidence_id.hex}.bin").unlink()
+        with pytest.raises(NotOwner):
+            frontend.acquire_evidence(BOB, eid)
+        for unknown in (orphan, generate_id(b"ghost", 0)):
+            with pytest.raises(EvidenceNotFound):
+                frontend.acquire_evidence(ALICE, unknown)
+        # the owner's acquisition does read it
+        with pytest.raises(FileNotFoundError):
+            frontend.acquire_evidence(ALICE, eid)
 
 
 class TestTransferAndDiscard:
