@@ -161,22 +161,22 @@ class Validator:
     # -- message handling ----------------------------------------------
 
     def handle(self, msg: ConsensusMessage) -> None:
-        if msg.height < self.height:
-            return  # stale
-        if msg.height > self.height or not self.active:
-            self._buffer(msg)
-            return
-        if msg.round < self.round:
-            return  # stale round
-        if msg.round > self.round and not self._try_fast_forward(msg):
-            self._buffer(msg)
-            return
+        if msg.height != self.height or msg.round != self.round \
+                or not self.active:
+            if msg.height < self.height:
+                return  # stale
+            if msg.height > self.height or not self.active:
+                self._buffer(msg)
+                return
+            if msg.round < self.round:
+                return  # stale round
+            if not self._try_fast_forward(msg):
+                self._buffer(msg)
+                return
         if msg.type is MsgType.PRE_PREPARE:
             self._on_pre_prepare(msg)
-        elif msg.type is MsgType.PREPARE:
-            self._on_prepare(msg)
         else:
-            self._on_commit_msg(msg)
+            self._on_vote(msg)
 
     def _try_fast_forward(self, msg: ConsensusMessage) -> bool:
         """Catch up to a later round on a valid proposal for that round."""
@@ -222,26 +222,24 @@ class Validator:
         self._vote(MsgType.PREPARE, msg.digest)
         self._check_quorums()
 
-    # After every _check_quorums call, a PRE_PREPARED replica lacks a
-    # prepare quorum and a PREPARED one a commit quorum on locked_digest.
-    # So a single vote can only advance the phase it is counted for, and
-    # only when it is for locked_digest; any other vote is just recorded.
-
-    def _on_prepare(self, msg: ConsensusMessage) -> None:
-        votes = self.prepare_votes.setdefault(msg.digest, set())
-        votes.add(msg.sender)
-        if self.phase is Phase.PRE_PREPARED \
-                and msg.digest == self.locked_digest \
+    def _on_vote(self, msg: ConsensusMessage) -> None:
+        if msg.type is MsgType.PREPARE:
+            tally, phase = self.prepare_votes, Phase.PRE_PREPARED
+        else:
+            tally, phase = self.commit_votes, Phase.PREPARED
+        votes = tally.get(msg.digest)
+        if votes is None:
+            votes = tally[msg.digest] = {msg.sender}
+        else:
+            votes.add(msg.sender)
+        # After every _check_quorums call, a PRE_PREPARED replica lacks a
+        # prepare quorum and a PREPARED one a commit quorum on
+        # locked_digest. So a single vote can only advance the phase it is
+        # counted for, and only when it is for locked_digest; any other
+        # vote is just recorded.
+        if self.phase is phase and msg.digest == self.locked_digest \
                 and len(votes) >= self.quorum:
             self._check_quorums()
-
-    def _on_commit_msg(self, msg: ConsensusMessage) -> None:
-        votes = self.commit_votes.setdefault(msg.digest, set())
-        votes.add(msg.sender)
-        if self.phase is Phase.PREPARED \
-                and msg.digest == self.locked_digest \
-                and len(votes) >= self.quorum:
-            self._commit()
 
     def _check_quorums(self) -> None:
         if self.locked_block is None:

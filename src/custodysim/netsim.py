@@ -5,12 +5,14 @@ run fires the same sequence of events at the same times. A delivery
 calls one of the recipient's callbacks with the message, deliver for
 validator traffic and admit for client traffic; no closure is built per
 delivery, and a node that drops everything gets no event. With jitter
-or per-pair links, each delivery is one scheduler event. On a
-jitter-free network with only the default link, a broadcast is at most
-two events: the self-delivery now, and one fan-out that delivers to
-every other recipient, in order, when the link's delay has passed.
-Client traffic enters the network as sender ``CLIENT`` and takes the
-same path as validator traffic, up to the callback it reaches.
+or per-pair links, each delivery is one entry that the broadcast pushes
+straight onto the scheduler's heap. On a jitter-free network with only
+the default link, a broadcast is at most two events: the self-delivery
+now, and one fan-out that delivers to every other recipient, in order,
+when the link's delay has passed. Client traffic enters the network as
+sender ``CLIENT`` and takes the same path as validator traffic, up to
+the callback it reaches. Work known in advance, such as a workload's
+injects, is fed to the scheduler and enters the heap only when due.
 """
 from __future__ import annotations
 
@@ -59,12 +61,20 @@ class Scheduler:
     scheduled. One event may deliver a message to many nodes (see
     ``Network.broadcast``); whatever those deliveries schedule gets a
     later ``seq`` than the event itself.
+
+    ``feed`` takes entries that are known in advance. They get their
+    ``seq`` when fed, as ``schedule_at`` would give it, but wait outside
+    the heap until ``run_until`` reaches their time, so the heap the
+    other events pass through stays shallow. Their keys are the same, so
+    they fire in the same order as if each had been scheduled when fed.
     """
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
         self._heap: list[tuple] = []
+        self._fed: list[tuple] = []  # not yet due, latest first
+        self._until = 0.0  # every fed entry is due after this
 
     def schedule_at(self, fire_time: float, action: Callable, *args) -> None:
         if fire_time < self.now:
@@ -75,10 +85,31 @@ class Scheduler:
     def schedule(self, delay: float, action: Callable, *args) -> None:
         self.schedule_at(self.now + delay, action, *args)
 
+    def feed(self, entries: Iterable[tuple]) -> None:
+        """Schedule ``(fire_time, action, args)`` entries in the order
+        given, each as ``schedule_at(fire_time, action, *args)`` would.
+        One in the past raises SchedulingInPast and none is scheduled."""
+        seq = self._seq
+        fed = [(fire_time, seq + i, action, args)
+               for i, (fire_time, action, args) in enumerate(entries)]
+        for fire_time, *_ in fed:
+            if fire_time < self.now:
+                raise SchedulingInPast(f"{fire_time} < now {self.now}")
+        self._seq = seq + len(fed)
+        self._fed = sorted(self._fed + fed, reverse=True)
+        self._release()
+
+    def _release(self) -> None:
+        fed, heap, until = self._fed, self._heap, self._until
+        while fed and fed[-1][0] <= until:
+            heappush(heap, fed.pop())
+
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
+        self._until = t
+        self._release()
         heap, pop = self._heap, heappop
         while heap and heap[0][0] <= t:
             self.now, _, action, args = pop(heap)
@@ -86,7 +117,7 @@ class Scheduler:
         self.now = t
 
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._fed)
 
 
 class Network:
@@ -147,20 +178,25 @@ class Network:
 
         A recipient that drops everything still draws its jitter, so the
         other recipients' times and the rng stream do not depend on it.
+
+        Every delay is at least 0, so no delivery can be due in the past,
+        and the per-delivery path pushes ``(fire_time, seq, deliver,
+        (message,))`` straight onto the scheduler's heap, sharing one args
+        tuple, with the seqs that ``schedule_at`` would have given.
         """
         nodes = self._admits if sender == CLIENT else self._delivers
         if sender not in nodes and sender >= 0:
             raise UnknownNode(str(sender))
         default = self.default_link.transmission_delay(wire_size)
         links, jitter = self.links, self.jitter
-        now, schedule_at = self.scheduler.now, self.scheduler.schedule_at
-        if recipients is None:
-            recipients = nodes
+        scheduler = self.scheduler
+        now, schedule_at = scheduler.now, scheduler.schedule_at
+        pairs = nodes.items() if recipients is None else \
+            [(recipient, nodes.get(recipient)) for recipient in recipients]
         fire = now + default
         if not links and jitter <= 0 and fire > now:
             others = []
-            for recipient in recipients:
-                deliver = nodes.get(recipient)
+            for recipient, deliver in pairs:
                 if deliver is None:
                     raise UnknownNode(str(recipient))
                 if deliver is _DROP:
@@ -173,20 +209,24 @@ class Network:
                 schedule_at(fire, _fan_out, others, message)
             return
         draw = self.rng.random
-        for recipient in recipients:
-            deliver = nodes.get(recipient)
-            if deliver is None:
-                raise UnknownNode(str(recipient))
-            if recipient == sender:
-                delay = 0.0
-            else:
-                link = links.get((sender, recipient)) if links else None
-                delay = default if link is None \
-                    else link.transmission_delay(wire_size)
-                if jitter > 0:
-                    delay += jitter * draw()
-            if deliver is not _DROP:
-                schedule_at(now + delay, deliver, message)
+        heap, seq, args = scheduler._heap, scheduler._seq, (message,)
+        try:
+            for recipient, deliver in pairs:
+                if deliver is None:
+                    raise UnknownNode(str(recipient))
+                if recipient == sender:
+                    delay = 0.0
+                else:
+                    link = links.get((sender, recipient)) if links else None
+                    delay = default if link is None \
+                        else link.transmission_delay(wire_size)
+                    if jitter > 0:
+                        delay += jitter * draw()
+                if deliver is not _DROP:
+                    heappush(heap, (now + delay, seq, deliver, args))
+                    seq += 1
+        finally:
+            scheduler._seq = seq
 
     def inject(self, message, wire_size: int) -> None:
         """Admit a message from outside the validator set (e.g. a client)

@@ -214,9 +214,9 @@ class Simulation:
 
     def run(self) -> SimResult:
         cfg = self.config
-        for tx in self.workload:
-            self.scheduler.schedule_at(tx.issue_time, self.network.inject,
-                                       tx, tx.size)
+        inject = self.network.inject
+        self.scheduler.feed((tx.issue_time, inject, (tx, tx.size))
+                            for tx in self.workload)
 
         period = 0          # index of the period whose block is next due
         boundary = cfg.period

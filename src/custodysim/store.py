@@ -10,10 +10,12 @@ is the id.
 ``ledger.jsonl`` is the one journal: one JSON object per committed
 transaction, appended and never rewritten, and opening the ledger
 applies them again through ``LedgerState.apply``. A last line without
-its trailing newline is a torn append: ``_replay`` drops it and cuts it
-off the file, so the next append starts a line of its own. Any other
-line that does not parse, or a transaction that reverts on replay, is a
-``StoreError`` naming the file and the line.
+its trailing newline is a torn append, and it is never applied. A
+command that changes the ledger cuts it off the file when it opens the
+store, so the next append starts a line of its own; a command that only
+reads leaves the file as it is, and ``verify`` reports the torn line.
+Any other line that does not parse, or a transaction that reverts on
+replay, is a ``StoreError`` naming the file and the line.
 
 ``open_custody`` opens a store directory for one command and holds an
 exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. The
@@ -84,17 +86,16 @@ def _sha256(data: bytes) -> bytes:
 _id_bytes = operator.attrgetter("value")
 
 
-def _replay(path: Path, apply: Callable[[str], None]) -> None:
-    """Pass each whole line of the journal at path to apply.
+def _replay(path: Path, apply: Callable[[str], None]) -> bytes:
+    """Pass each whole line of the journal at path to apply, and return
+    the torn append after them (empty if there is none).
 
     A line that apply rejects is a StoreError naming the path and line.
     """
     if not path.exists():
-        return
+        return b""
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    if end < len(data):
-        os.truncate(path, end)
     lines = data[:end].split(b"\n")[:-1]
     for number, line in enumerate(lines, 1):
         try:
@@ -103,6 +104,7 @@ def _replay(path: Path, apply: Callable[[str], None]) -> None:
             # ValueError covers UnicodeDecodeError and bad JSON too
             raise StoreError(f"{path}: line {number} is malformed "
                              f"({type(err).__name__}: {err}): {line!r}") from err
+    return data[end:]
 
 
 def _read_file(path: Path) -> bytes:
@@ -193,7 +195,9 @@ class LocalLedgerClient:
     A transaction that reverts raises its typed ``LedgerError`` (see
     ``ledger.REVERT_ERRORS``), on submit and on replay alike. Given a
     journal path, the client first replays the journal and then appends
-    one line per transaction that commits.
+    one line per transaction that commits. A torn last line is kept in
+    ``torn`` and left in the file until ``cut_torn`` or the next append
+    cuts it.
     """
 
     def __init__(self, journal: Optional[Path] = None):
@@ -204,8 +208,16 @@ class LocalLedgerClient:
         self.state = LedgerState()
         self._time = 0.0
         self._uid = 0
+        self.torn = b""
         if self.journal is not None:
-            _replay(self.journal, self._replay_line)
+            self.torn = _replay(self.journal, self._replay_line)
+
+    def cut_torn(self) -> None:
+        """Cut a torn last line off the journal."""
+        if self.torn:
+            os.truncate(self.journal,
+                        self.journal.stat().st_size - len(self.torn))
+            self.torn = b""
 
     def _replay_line(self, line: str) -> None:
         record = json.loads(line)
@@ -234,6 +246,7 @@ class LocalLedgerClient:
             elif tx.kind is TxKind.TRANSFER:
                 record["new_owner"] = tx.new_owner.hex
             try:
+                self.cut_torn()
                 _append_line(self.journal, json.dumps(record))
             except BaseException:
                 self._load()  # memory must hold what the journal holds
@@ -345,7 +358,8 @@ class Frontend:
 
     def verify(self) -> list[str]:
         """One line per problem: a blob that cannot be read or no longer
-        hashes to its id, or an id that only one of store and ledger holds.
+        hashes to its id, an id that only one of store and ledger holds,
+        or a torn last line of the ledger journal.
 
         Each stored file is read once, and exactly the bytes read are
         hashed, as on acquisition. The lines come in that order of kinds,
@@ -365,7 +379,11 @@ class Frontend:
             if eid not in listed:
                 unlisted.append(
                     f"{eid.hex} is in the store but not on the ledger")
-        return damaged + unlisted + missing
+        problems = damaged + unlisted + missing
+        if self.client.torn:
+            problems.append(f"{self.client.journal} ends in a torn line of "
+                            f"{len(self.client.torn)} bytes, not applied")
+        return problems
 
 
 @contextlib.contextmanager
@@ -373,10 +391,11 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     """Yield a Frontend over the store at root and its journaled ledger.
 
     The lock, the refusal of an older store format or of a store without
-    its ledger journal, and the clean-up that reconcile asks for are
-    described in the module docstring. Commands that only read pass
-    reconcile=False, so ``verify`` sees what a command cut short left
-    behind.
+    its ledger journal, and the clean-up that reconcile asks for (a torn
+    last ledger line cut off, unnamed blob files deleted) are described
+    in the module docstring. Commands that only read pass
+    reconcile=False: they leave the journal and the blob files as they
+    are, and ``verify`` sees what a command cut short left behind.
     """
     import fcntl  # POSIX only; nothing else in the package needs it
     root = Path(root)
@@ -392,6 +411,7 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
             journal.touch()
         client = LocalLedgerClient(journal)
         if reconcile:
+            client.cut_torn()
             _reconcile(store, client)
         yield Frontend(store, client, seed=random.SystemRandom().getrandbits(32))
 

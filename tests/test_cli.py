@@ -590,10 +590,14 @@ class TestLedgerStore:
         left = {eid for eid in names if _run(
             capsys, "ledger", "--store", str(store), "show", eid)[0] != 0}
         names.add(kept)
-        # verify reports what the crash left; the next change clears it
+        # verify reports what the crash left, a torn ledger line included;
+        # the next change clears it
+        journal = store / LEDGER
+        torn = {str(journal)} if tear and not journal.read_bytes().endswith(
+            b"\n") else set()
         code, out, _ = _run(capsys, "ledger", "--store", str(store), "verify")
-        assert code == (1 if left else 0)
-        assert {line.split()[0] for line in out.splitlines()} == left
+        assert code == (1 if left or torn else 0)
+        assert {line.split()[0] for line in out.splitlines()} == left | torn
         self._create(capsys, store, blob, who="carol")
         assert _run(capsys, "ledger", "--store", str(store), "verify") \
             == (0, "", "")
@@ -601,6 +605,34 @@ class TestLedgerStore:
             on_ledger = _run(capsys, "ledger", "--store", str(store), "show",
                              eid)[0] == 0
             assert on_ledger == (store / f"{eid}.bin").exists()
+
+    def test_read_only_commands_keep_a_torn_ledger_line(self, tmp_path,
+                                                        capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"evidence")
+        eid = self._create(capsys, store, blob)
+        journal = store / LEDGER
+        whole = journal.read_bytes()
+        journal.write_bytes(whole + b'{"uid": 2, "ti')
+        torn = journal.read_bytes()
+        for argv in (["show", eid], ["acquire", eid, "--as", "alice"],
+                     ["verify"]):
+            code, out, _ = _run(capsys, "ledger", "--store", str(store), *argv)
+            assert journal.read_bytes() == torn, argv
+            if argv == ["verify"]:
+                assert (code, out) == (
+                    1, f"{journal} ends in a torn line of 14 bytes, "
+                    "not applied\n")
+            else:
+                assert code == 0, argv
+        assert _run(capsys, "ledger", "--store", str(store), "transfer", eid,
+                    "--to", "bob", "--as", "alice")[0] == 0
+        lines = journal.read_bytes().split(b"\n")
+        assert b"\n".join(lines[:-2]) + b"\n" == whole
+        assert json.loads(lines[-2])["kind"] == "transfer"
+        assert lines[-1] == b""
+        assert _run(capsys, "ledger", "--store", str(store), "verify") \
+            == (0, "", "")
 
     def test_user_files_in_the_store_survive(self, tmp_path, capsys):
         store = tmp_path / "s"

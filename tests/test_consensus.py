@@ -305,15 +305,13 @@ class TestRoundChange:
 
 
 class RecountEveryVote(Validator):
-    """The vote handlers without their guards: every vote runs the full
+    """The vote handler without its guard: every vote runs the full
     quorum recount."""
 
-    def _on_prepare(self, msg):
-        self.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
-        self._check_quorums()
-
-    def _on_commit_msg(self, msg):
-        self.commit_votes.setdefault(msg.digest, set()).add(msg.sender)
+    def _on_vote(self, msg):
+        tally = self.prepare_votes if msg.type is MsgType.PREPARE \
+            else self.commit_votes
+        tally.setdefault(msg.digest, set()).add(msg.sender)
         self._check_quorums()
 
 

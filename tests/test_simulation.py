@@ -132,6 +132,30 @@ class TestHonestRun:
         assert sizes[0] >= 4096 + 1909
 
 
+class TestQuorumOfOne:
+    """With 1 to 3 validators f = 0, so one vote is a quorum: each replica
+    commits on its own votes, with no other replica's vote needed."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.005])
+    @pytest.mark.parametrize("validators", [1, 2, 3])
+    def test_every_replica_commits_one_block_per_period(self, validators,
+                                                        jitter):
+        assert consensus.quorum_size(validators) == 1
+        cfg = _cfg(periods=5, validators=validators, jitter=jitter,
+                   base_delay=0.01)
+        wl = constant_rate_workload(RateSpec(2, cfg.periods), seed=0, period=T)
+        sim = Simulation(cfg, wl)
+        result = sim.run()
+        # the block of period p is proposed at the end of period p, so the
+        # fifth comes in a sixth period, as with any n
+        assert result.periods_elapsed == 6
+        for node in sim.nodes.values():
+            assert [b.timestamp for b in node.validator.chain] == \
+                [p * T for p in range(5)]
+        assert len(set(result.chain_digests.values())) == 1
+        assert len(result.tx_records) == 10
+
+
 class TestOverload:
     def test_backlog_grows_past_gas_limit(self):
         # ramp crossing the gas limit: early periods keep up, late ones
