@@ -79,9 +79,13 @@ class ExperimentConfig(ChainParams):
             raise ConfigError("jitter cannot be negative")
         if self.round_timeout is not None and self.round_timeout <= 0:
             raise ConfigError("round timeout must be positive")
+        seen = set()
         for idx, kind in self.byzantine:
             if not 0 <= idx < self.validators:
                 raise ConfigError(f"byzantine index {idx} out of range")
+            if idx in seen:
+                raise ConfigError(f"byzantine index {idx} given twice")
+            seen.add(idx)
             if kind not in FAULT_KINDS:
                 raise ConfigError(f"unknown byzantine behavior {kind!r}")
         f = max_faulty(self.validators)

@@ -58,9 +58,10 @@ class SimResult:
 class _Node:
     """One validator process: consensus + mempool + ledger replica."""
 
-    def __init__(self, sim: "Simulation", index: int):
+    def __init__(self, sim: "Simulation", index: int, fault):
         self.sim = sim
         self.index = index
+        self.fault = fault  # a rule from _FAULTS, or None when honest
         self.mempool = Mempool()
         self.ledger = LedgerState()
         cfg = sim.config
@@ -68,18 +69,18 @@ class _Node:
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
             round_timeout=cfg.effective_round_timeout,
             broadcast=self._broadcast,
-            set_timer=self._set_timer, build_block=self._build,
+            set_timer=sim.scheduler.schedule, build_block=self._build,
             on_commit=self._committed, genesis=sim.genesis)
 
     # environment hooks -------------------------------------------------
 
     def _broadcast(self, msg: ConsensusMessage) -> None:
-        if msg.type is MsgType.PRE_PREPARE:
-            self.sim.note_proposal(msg)
-        self.sim.network.broadcast(self.index, msg, wire_size(msg))
-
-    def _set_timer(self, delay: float, callback) -> None:
-        self.sim.scheduler.schedule(delay, callback)
+        sends = ((msg, None),) if self.fault is None else self.fault(self, msg)
+        for out, recipients in sends:
+            if out.type is MsgType.PRE_PREPARE:
+                self.sim.note_proposal(out)
+            self.sim.network.broadcast(self.index, out, wire_size(out),
+                                       recipients)
 
     def _build(self, height: int, round_: int, period_start: float) -> Block:
         stuck = self.mempool.stuck_head(self.sim.config.gas_limit)
@@ -90,12 +91,11 @@ class _Node:
                            period_start)
 
     def _committed(self, block: Block) -> None:
-        now = self.sim.scheduler.now
-        for tx in block.transactions:
-            receipt = self.ledger.apply(tx, block.timestamp)
-            self.sim.note_receipt(self.index, receipt)
+        receipts = [self.ledger.apply(tx, block.timestamp)
+                    for tx in block.transactions]
         self.mempool.remove_committed(tx.uid for tx in block.transactions)
-        self.sim.note_commit(self.index, block, now)
+        if self.index == self.sim.reference:
+            self.sim.note_commit(block, receipts, self.sim.scheduler.now)
 
     # inbound -----------------------------------------------------------
 
@@ -108,40 +108,32 @@ class _Node:
         self.mempool.submit(tx)
 
 
-class _SilentNode(_Node):
-    """Never acts: the silent fault model.
+# A fault kind is one rule: it maps a consensus message the node would
+# send to the (message, recipients or None for all) pairs it sends.
 
-    The network drops client transactions and consensus messages sent to
-    it alike, and the simulation never starts a height on it, so it never
-    proposes, votes or arms a timer.
-    """
+def _silent(node: _Node, msg: ConsensusMessage) -> tuple:
+    """Sends nothing; Simulation also never starts a silent node and has
+    the network drop everything sent to it."""
+    return ()
 
 
-class _EquivocatingNode(_Node):
+def _equivocate(node: _Node, msg: ConsensusMessage) -> tuple:
     """Proposes two conflicting blocks to disjoint halves; withholds votes.
 
-    Tracks the chain honestly (so later equivocations still carry a
-    plausible parent digest) but its prepare/commit votes are dropped.
+    The node tracks the chain honestly, so later equivocations still
+    carry a plausible parent digest.
     """
-
-    def _broadcast(self, msg: ConsensusMessage) -> None:
-        if msg.type is MsgType.PRE_PREPARE:
-            self.sim.note_proposal(msg)
-            others = sorted(self.sim.nodes)
-            half = len(others) // 2
-            alt_block = replace(msg.block, salt=msg.block.salt + 1)
-            alt = ConsensusMessage(msg.type, msg.height, msg.round,
-                                   block_digest(alt_block), msg.sender,
-                                   alt_block)
-            self.sim.note_proposal(alt)
-            network = self.sim.network
-            network.broadcast(self.index, msg, wire_size(msg), others[:half])
-            network.broadcast(self.index, alt, wire_size(alt), others[half:])
-            return
-        # withhold prepare/commit votes
+    if msg.type is not MsgType.PRE_PREPARE:
+        return ()
+    ids = sorted(node.sim.nodes)
+    half = len(ids) // 2
+    alt_block = replace(msg.block, salt=msg.block.salt + 1)
+    alt = ConsensusMessage(msg.type, msg.height, msg.round,
+                           block_digest(alt_block), msg.sender, alt_block)
+    return ((msg, ids[:half]), (alt, ids[half:]))
 
 
-_FAULTS = {SILENT: _SilentNode, EQUIVOCATE: _EquivocatingNode}
+_FAULTS = {SILENT: _silent, EQUIVOCATE: _equivocate}
 
 
 class Simulation:
@@ -156,17 +148,19 @@ class Simulation:
             jitter=config.jitter, rng=rng)
         self.genesis = blk.genesis_digest()
         behaviors = dict(config.byzantine)
-        self.nodes: dict[int, _Node] = {}
-        for i in range(config.validators):
-            node = _FAULTS.get(behaviors.get(i), _Node)(self, i)
-            self.nodes[i] = node
-            if isinstance(node, _SilentNode):
-                self.network.add_node(i)   # drops everything sent to it
-            else:
-                self.network.add_node(i, node.validator.handle, node._admit)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
         # the replica whose commits and receipts the metrics report
         self.reference = self.honest[0] if self.honest else 0
+        self.nodes: dict[int, _Node] = {}
+        self._validators: list[Validator] = []  # the ones run() starts
+        for i in range(config.validators):
+            kind = behaviors.get(i)
+            node = self.nodes[i] = _Node(self, i, _FAULTS.get(kind))
+            if kind == SILENT:
+                self.network.add_node(i)   # drops everything sent to it
+            else:
+                self.network.add_node(i, node.validator.handle, node._admit)
+                self._validators.append(node.validator)
 
         # bookkeeping
         # height -> (highest proposed round, first broadcast of that round)
@@ -187,9 +181,8 @@ class Simulation:
         if seen is None or msg.round > seen[0]:
             self._proposal_times[msg.height] = (msg.round, self.scheduler.now)
 
-    def note_commit(self, index: int, block: Block, now: float) -> None:
-        if index != self.reference:
-            return
+    def note_commit(self, block: Block, receipts: list, now: float) -> None:
+        """The reference replica committed block; one receipt per tx."""
         p = int(round(block.timestamp / self.config.period))
         self._size_by_period[p] = block_size(block)
         # measure from the most recent proposal for this height (the
@@ -199,12 +192,9 @@ class Simulation:
             latency = now - proposed[1]
             self._commit_latencies.append((block.height, latency))
             self._lc_by_period[p] = latency
-        for tx in block.transactions:
+        for tx, receipt in zip(block.transactions, receipts):
             self._tx_records.setdefault(tx.uid, (tx.issue_time, block.timestamp))
-
-    def note_receipt(self, index: int, receipt) -> None:
-        if index == self.reference:
-            self._receipts.setdefault(receipt.tx_uid, receipt)
+            self._receipts.setdefault(tx.uid, receipt)
 
     def note_stuck(self, tx: Transaction) -> None:
         if tx.uid not in self._stuck:
@@ -232,9 +222,8 @@ class Simulation:
             # start the next height on every idle validator; a validator
             # still mid-consensus skips this boundary (round changes run on)
             next_start = boundary - cfg.period  # block timestamp: period start
-            for node in self.nodes.values():
-                v = node.validator
-                if not v.active and not isinstance(node, _SilentNode):
+            for v in self._validators:
+                if not v.active:
                     v.start_height(next_start)
             period += 1
             boundary += cfg.period

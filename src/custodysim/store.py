@@ -17,8 +17,11 @@ reads leaves the file as it is, and ``verify`` reports the torn line.
 Any other line that does not parse, or a transaction that reverts on
 replay, is a ``StoreError`` naming the file and the line.
 
-``open_custody`` opens a store directory for one command and holds an
-exclusive ``flock`` on ``<root>/lock`` (POSIX only) until it ends. The
+``open_custody`` opens a store directory for one command and holds a
+``flock`` on ``<root>/lock`` (POSIX only) until it ends: exclusive for a
+command that changes the store, shared for one that only reads, so
+readers run side by side. A command that only reads creates nothing: a
+store without its ledger journal is a ``StoreError`` for it. The
 ledger line is what commits an operation: a create writes its blob file,
 then its ledger line; a discard writes its ledger line, then deletes the
 blob file. So a blob file that the ledger does not name is a create or
@@ -394,16 +397,20 @@ def open_custody(root: Path, reconcile: bool = True) -> Iterator[Frontend]:
     its ledger journal, and the clean-up that reconcile asks for (a torn
     last ledger line cut off, unnamed blob files deleted) are described
     in the module docstring. Commands that only read pass
-    reconcile=False: they leave the journal and the blob files as they
-    are, and ``verify`` sees what a command cut short left behind.
+    reconcile=False: they share the lock, create no store, and leave the
+    journal and the blob files as they are, so ``verify`` sees what a
+    command cut short left behind.
     """
     import fcntl  # POSIX only; nothing else in the package needs it
     root = Path(root)
+    journal = root / LEDGER
+    if not reconcile and not journal.exists():
+        raise StoreError(f"{journal} is missing: {root} holds no custody "
+                         "store to read")
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
+        fcntl.flock(lock, fcntl.LOCK_EX if reconcile else fcntl.LOCK_SH)
         store = EvidenceStore(root)
-        journal = root / LEDGER
         if not journal.exists():
             if store.ids():
                 raise StoreError(f"{journal} is missing but {root} holds "

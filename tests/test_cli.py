@@ -1,5 +1,6 @@
 import argparse
 import csv
+import fcntl
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -164,18 +166,23 @@ GOLDEN_RUNS = {
     "delay-jitter": (["--config", "{config}", "--workload", "rate:4"],
                      "ac413a8ecc7f1d9ffbf2f42e6b26a0f4971b9b63ef6404624c25afa016f3ead6",
                      "d86bf37c6b46af65a3f30c496ed6cb5b24caeed373f088988c5dad0dbdc68b2e"),
+    "equivocate-jitter": (["--config", "{config}", "--validators", "7",
+                           "--byzantine", "3:equivocate"],
+                          "57878650b966722a93f36a112989b7b40eef553800645230869dabc86ed2cadf",
+                          "dad9c04f7589bee94a63233200d3e2869a856d75d6472bcf5aa2d5e35ec18e2c"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
 
 
 class TestGoldenOutput:
-    """`sim run` output pinned byte for byte for four seeded scenarios.
+    """`sim run` output pinned byte for byte for five seeded scenarios.
 
-    The delay-jitter scenario sets base_delay and jitter through a config
-    file, so every client transaction draws link jitter on its way to the
-    mempools. A change to the engine that keeps its results must keep
-    these hashes. ROADMAP item 4's block-digest fix changes the head
-    digests, and so these hashes, on purpose; record them again then.
+    The delay-jitter and equivocate-jitter scenarios set base_delay and
+    jitter through a config file, so every client transaction draws link
+    jitter on its way to the mempools, and in equivocate-jitter the two
+    halves of each conflicting proposal draw it too. A change to the
+    engine that keeps its results must keep these hashes. A change that
+    declares a change of behaviour records them again.
     """
 
     @pytest.mark.parametrize("scenario", sorted(GOLDEN_RUNS))
@@ -395,6 +402,8 @@ class TestLedgerWorkflow:
         assert code == 1
 
     def test_unknown_id_exits_1(self, tmp_path, capsys):
+        with open_custody(tmp_path / "s"):
+            pass   # an empty store
         code, _, err = _run(capsys, "ledger", "--store",
                             str(tmp_path / "s"), "show", "ab" * 32)
         assert code == 1
@@ -633,6 +642,41 @@ class TestLedgerStore:
         assert lines[-1] == b""
         assert _run(capsys, "ledger", "--store", str(store), "verify") \
             == (0, "", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["show", "ab" * 32], ["acquire", "ab" * 32, "--as", "alice"],
+        ["verify"]], ids=lambda argv: argv[0])
+    def test_read_only_commands_create_no_store(self, argv, tmp_path, capsys):
+        store = tmp_path / "s"
+        code, out, err = _run(capsys, "ledger", "--store", str(store), *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: StoreError: {store / LEDGER} is missing: "
+                       f"{store} holds no custody store to read\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readers_share_the_lock_and_a_writer_waits(self, tmp_path,
+                                                       capsys):
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"evidence")
+        eid = self._create(capsys, store, blob)
+
+        def start(timeout, *argv):
+            thread = threading.Thread(target=main, args=(
+                ["ledger", "--store", str(store), *argv],))
+            thread.start()
+            thread.join(timeout)
+            return thread
+
+        with open(store / "lock") as held:
+            fcntl.flock(held, fcntl.LOCK_SH)   # another reader holds it
+            reader = start(10, "verify")
+            writer = start(0.5, "transfer", eid, "--to", "bob", "--as",
+                           "alice")
+            finished = (not reader.is_alive(), not writer.is_alive())
+        reader.join()
+        writer.join()
+        assert finished == (True, False)
+        assert capsys.readouterr().out == "transferred\n"
 
     def test_user_files_in_the_store_survive(self, tmp_path, capsys):
         store = tmp_path / "s"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from custodysim import consensus
+from custodysim import consensus, simulation
 from custodysim.analytics import consensus_latency
 from custodysim.blocks import Block, block_digest
 from custodysim.consensus import ConsensusMessage, MsgType, Validator
@@ -62,6 +62,7 @@ class TestConfig:
         dict(byzantine=((9, SILENT),)),
         dict(byzantine=((1, "weird"),)),
         dict(validators=4, byzantine=((1, SILENT), (2, SILENT))),
+        dict(validators=7, byzantine=((3, SILENT), (3, EQUIVOCATE))),
         dict(round_timeout=0), dict(round_timeout=-1),
         dict(base_delay=-1), dict(jitter=-5),
     ])
@@ -272,6 +273,8 @@ class TestByzantine:
         sim.run()
         assert len(wl) == 200
         assert len(sim.nodes[3].mempool) == 0
+        silent = sim.nodes[3].validator
+        assert not silent.active and silent.chain == []
 
     def test_equivocating_validator_safety_and_liveness(self):
         cfg = _cfg(periods=20, byzantine=((2, EQUIVOCATE),),
@@ -309,6 +312,39 @@ class TestByzantine:
                     (entry.owner, entry.taddr, entry.ttime)
 
 
+class TestFaultRules:
+    """A fault kind is one rule on the consensus messages a node sends."""
+
+    @staticmethod
+    def _outgoing(sim, sender):
+        block = Block(0, sim.genesis, proposer=sender, timestamp=0.0)
+        return {kind: ConsensusMessage(
+                    kind, 0, 0, block_digest(block), sender,
+                    block if kind is MsgType.PRE_PREPARE else None)
+                for kind in MsgType}
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_equivocate_sends_each_half_its_own_proposal(self, n):
+        sim = Simulation(_cfg(validators=n, byzantine=((1, EQUIVOCATE),)), [])
+        node, msgs = sim.nodes[1], self._outgoing(sim, 1)
+        proposal = msgs[MsgType.PRE_PREPARE]
+        (first, to_first), (second, to_second) = \
+            simulation._equivocate(node, proposal)
+        assert first is proposal
+        assert (second.type, second.height, second.round, second.sender) == \
+            (MsgType.PRE_PREPARE, 0, 0, 1)
+        assert second.digest == block_digest(second.block) != first.digest
+        ids = sorted(sim.nodes)
+        assert (to_first, to_second) == (ids[:n // 2], ids[n // 2:])
+        for vote in (MsgType.PREPARE, MsgType.COMMIT):
+            assert simulation._equivocate(node, msgs[vote]) == ()
+
+    def test_silent_sends_nothing(self):
+        sim = Simulation(_cfg(byzantine=((3, SILENT),)), [])
+        for msg in self._outgoing(sim, 3).values():
+            assert simulation._silent(sim.nodes[3], msg) == ()
+
+
 class TestCommitLatency:
     def test_measured_from_first_proposal_of_highest_round(self):
         sim = Simulation(_cfg(), [])
@@ -325,5 +361,5 @@ class TestCommitLatency:
         propose_at(6.0, 70)   # a re-broadcast keeps the first time
         propose_at(6.5, 3)    # a lower round is not the committing one
         sim.scheduler.run_until(7.5)
-        sim.note_commit(sim.honest[0], block, sim.scheduler.now)
+        sim.note_commit(block, [], sim.scheduler.now)
         assert sim._commit_latencies == [(0, 2.5)]
