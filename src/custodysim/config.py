@@ -122,8 +122,8 @@ def parse_byzantine(spec: str) -> tuple:
         return ()
     out = []
     for part in spec.split(","):
-        idx, kind = part.strip().split(":")
-        out.append((int(idx), kind))
+        idx, kind = part.split(":")
+        out.append((int(idx), kind.strip()))
     return tuple(out)
 
 

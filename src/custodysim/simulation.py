@@ -2,7 +2,9 @@
 
 Wires the consensus state machines to the discrete-event network, drives
 one proposal per block period and collects per-period metrics (gas rate,
-inclusion latency, consensus latency, chain size).
+inclusion latency, consensus latency, chain size). Only the reference
+replica applies each block to its ledger as it commits, for the receipts;
+every other replica's ledger applies its own chain when it is read.
 """
 from __future__ import annotations
 
@@ -49,21 +51,22 @@ class SimResult:
 
     @property
     def blocks_per_period(self) -> float:
-        if not self.honest:
-            return 0.0
-        n = min(self.chain_lengths[i] for i in self.honest)
+        n = min((self.chain_lengths[i] for i in self.honest), default=0)
         return n / self.periods_elapsed if self.periods_elapsed else 0.0
 
 
 class _Node:
-    """One validator process: consensus + mempool + ledger replica."""
+    """One validator process: consensus, a mempool and a ledger replica.
+    The reference replica applies each block as it commits; any other
+    replica's ledger catches up with its own chain when ``ledger`` is read."""
 
     def __init__(self, sim: "Simulation", index: int, fault):
         self.sim = sim
         self.index = index
         self.fault = fault  # a rule from _FAULTS, or None when honest
         self.mempool = Mempool()
-        self.ledger = LedgerState()
+        self._ledger = LedgerState()
+        self._applied = 0   # blocks of validator.chain applied to _ledger
         cfg = sim.config
         self.validator = Validator(
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
@@ -91,11 +94,23 @@ class _Node:
                            period_start)
 
     def _committed(self, block: Block) -> None:
-        receipts = [self.ledger.apply(tx, block.timestamp)
-                    for tx in block.transactions]
         self.mempool.remove_committed(tx.uid for tx in block.transactions)
         if self.index == self.sim.reference:
-            self.sim.note_commit(block, receipts, self.sim.scheduler.now)
+            self.sim.note_commit(block, self._apply_chain(),
+                                 self.sim.scheduler.now)
+
+    @property
+    def ledger(self) -> LedgerState:
+        """The state after every block this replica has committed."""
+        self._apply_chain()
+        return self._ledger
+
+    def _apply_chain(self) -> list:
+        """Apply the committed blocks not applied yet; one receipt per tx."""
+        blocks = self.validator.chain[self._applied:]
+        self._applied += len(blocks)
+        return [self._ledger.apply(tx, block.timestamp)
+                for block in blocks for tx in block.transactions]
 
     # inbound -----------------------------------------------------------
 
@@ -140,12 +155,10 @@ class Simulation:
     def __init__(self, config: ExperimentConfig, workload: list):
         self.config = config
         self.workload = sorted(workload, key=lambda tx: (tx.issue_time, tx.uid))
-        rng = random.Random(config.seed)
         self.scheduler = Scheduler()
-        self.network = Network(
-            self.scheduler,
-            LinkModel(config.bandwidth, config.base_delay),
-            jitter=config.jitter, rng=rng)
+        link = LinkModel(config.bandwidth, config.base_delay)
+        self.network = Network(self.scheduler, link, jitter=config.jitter,
+                               rng=random.Random(config.seed))
         self.genesis = blk.genesis_digest()
         behaviors = dict(config.byzantine)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
@@ -162,7 +175,6 @@ class Simulation:
                 self.network.add_node(i, node.validator.handle, node._admit)
                 self._validators.append(node.validator)
 
-        # bookkeeping
         # height -> (highest proposed round, first broadcast of that round)
         self._proposal_times: dict[int, tuple[int, float]] = {}
         self._tx_records: dict[int, tuple] = {}
@@ -242,10 +254,9 @@ class Simulation:
         for tx in self.workload:
             p = min(int(tx.issue_time // T), periods - 1)
             gas_by_period[p] += tx.gas
-        for uid, (issue_time, block_ts) in self._tx_records.items():
-            lb = block_ts + T - issue_time
+        for issue_time, block_ts in self._tx_records.values():
             p = min(int(issue_time // T), periods - 1)
-            lb_by_period[p].append(lb)
+            lb_by_period[p].append(block_ts + T - issue_time)
 
         rows = []
         chain_size = blk.GENESIS_SIZE

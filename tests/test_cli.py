@@ -1,8 +1,10 @@
 import argparse
+import contextlib
 import csv
 import fcntl
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -13,13 +15,14 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, \
+    strategies as st
 
 import custodysim
-from custodysim import simulation
+from custodysim import cli, simulation
 from custodysim.cli import METRICS_COLUMNS, _build_parser, main
-from custodysim.config import (_FIELD_PARSERS, FAULT_KINDS, ExperimentConfig,
-                               read_config_file)
+from custodysim.config import (_FIELD_PARSERS, FAULT_KINDS, ConfigError,
+                               ExperimentConfig, read_config_file)
 from custodysim.ledger import Address
 from custodysim.store import LEDGER, EvidenceStore, open_custody
 from crashes import Crash, crash_at
@@ -859,3 +862,106 @@ class TestLedgerStore:
             assert known <= named
             if ledger_intact:
                 assert named == damaged
+
+
+# -- argv fuzz -----------------------------------------------------------
+
+# hand-picked hostile values; drawn text adds the rest
+_HOSTILE = ("", " ", "-1", "0", "1", "3", "1_0", "\u0663", "0x1f", "nan",
+            "inf", "-inf", "1e-300", "1e308", "\u00e9", "x" * 300,
+            " 3 : silent", "1:equivocate,2:silent", "9:silent", "rate:3",
+            "rate:-1", "ramp:0:900000", "ramp:x", "seed=0", "period=",
+            "1,2,x", "alice", "00" * 32)
+# values most options accept, so a draw also gets past the argument checks
+_PLAIN = ("1", "2", "5", "0.5", "rate:2", "ramp:0:500000", "seed=1", "alice",
+          "ab" * 32)
+# every Path option draws one of these, relative to a fresh directory;
+# "" is the directory itself
+_PATHS = ("", "missing", "dir", "blob", "cfg", "dir/new")
+
+
+def _small_or_not_a_number(text: str) -> bool:
+    """Keeps drawn text off counts in the thousands (validators, periods,
+    samples), which make one run take minutes."""
+    try:
+        value = abs(float(text))
+    except ValueError:
+        return True
+    return not math.isfinite(value) or value == 0 or 0.01 <= value <= 16
+
+
+_TEXT = st.one_of(
+    st.sampled_from(_HOSTILE),
+    st.sampled_from(_PLAIN),
+    st.text(st.characters(blacklist_characters="\x00"), max_size=10)
+    .filter(_small_or_not_a_number))
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.tuples(st.sampled_from(sorted(_FIELD_PARSERS)), _TEXT),
+             max_size=4).map(lambda kv: "".join(
+                 f"{k.replace('_', '-')} = {v}\n" for k, v in kv).encode()))
+
+
+@st.composite
+def _argv(draw, parser=None):
+    """Words for parser: its options and positionals with drawn values,
+    then one of its subcommands and that subcommand's words."""
+    parser = parser or _build_parser()
+    words, commands = [], None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands = action.choices
+            continue
+        if action.nargs == 0:       # --help
+            continue
+        value = st.sampled_from(_PATHS) if action.type is Path else _TEXT
+        if not action.option_strings:
+            words.append(draw(value))
+        elif action.required or draw(st.integers(0, 3)) == 0:
+            words += [action.option_strings[-1], draw(value)]
+    if commands:
+        name = draw(st.sampled_from(sorted(commands)))
+        words += [name] + draw(_argv(commands[name]))
+    return words
+
+
+def _runs_for_minutes(argv) -> bool:
+    """A sim run the simulator does not finish in seconds (CHANGES.md
+    FOUND): a round timeout far below the period restarts rounds without
+    end while no round completes, and a period near the float limit turns
+    the round timer into inf."""
+    if argv[0] != "sim":
+        return False
+    try:
+        cfg = cli._config_from_args(_build_parser().parse_args(argv))
+    except (SystemExit, ConfigError, OSError):
+        return False    # main exits before the simulator starts
+    return cfg.period > 1e300 or cfg.effective_round_timeout < cfg.period / 4
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@example(argv=["sim", "run", "--periods", "2", "--config", "cfg"],
+         config=b"periods = 2\n\xff\n")
+@example(argv=["analyze", "table2", "--period", "1e-300"], config=b"")
+@example(argv=["analyze", "plan-gas-limit", "--max-gas-rate", "1",
+               "--avg-gas-rate", "1", "--max-consensus-latency", "1e308"],
+         config=b"")
+@given(argv=_argv(), config=_CONFIG_BYTES)
+def test_any_argv_exits_0_1_or_2(argv, config, capsys):
+    """Any argv the parser can be walked to, with hostile values and a
+    config file of arbitrary bytes, exits 0, 1 or 2 with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("dir").mkdir()
+        Path("blob").write_bytes(b"evidence")
+        Path("cfg").write_bytes(config)
+        assume(not _runs_for_minutes(argv))
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: 2 on a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err + captured.out

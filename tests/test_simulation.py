@@ -8,7 +8,9 @@ from custodysim import consensus, simulation
 from custodysim.analytics import consensus_latency
 from custodysim.blocks import Block, block_digest
 from custodysim.consensus import ConsensusMessage, MsgType, Validator
-from custodysim.ledger import Address, EvidenceId, create_tx, transfer_tx
+from custodysim.config import parse_byzantine
+from custodysim.ledger import (Address, EvidenceId, LedgerState, TxKind,
+                               create_tx, remove_tx, transfer_tx)
 from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
                                    ExperimentConfig, Simulation,
                                    run_experiment)
@@ -77,6 +79,12 @@ class TestConfig:
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("spec", [
+        "3:silent", " 3 : silent", "3 :silent", "3: silent ", "\t3:\tsilent"])
+    def test_byzantine_spaces_around_the_colon(self, spec):
+        assert parse_byzantine(spec) == ((3, SILENT),)
+        _cfg(byzantine=parse_byzantine(spec)).validate()
 
     def test_round_timeout_defaults_to_two_periods(self):
         assert _cfg().effective_round_timeout == 2 * T
@@ -363,3 +371,113 @@ class TestCommitLatency:
         sim.scheduler.run_until(7.5)
         sim.note_commit(block, [], sim.scheduler.now)
         assert sim._commit_latencies == [(0, 2.5)]
+
+
+def _lifecycle(periods, per_period, seed):
+    """Custody lifecycles one period apart: each item is created, handed on
+    twice and, unless it is the first of its period, removed. A transfer
+    or remove is valid only once the block before it has been applied."""
+    rng = random.Random(seed)
+    users = [Address.from_int(i) for i in range(1, 6)]
+    txs = []
+    for p in range(periods - 3):
+        for k in range(per_period):
+            eid = EvidenceId.from_int(p * per_period + k + 1)
+            creator = owner = rng.choice(users)
+            t = (p + rng.random()) * T
+            txs.append(create_tx(len(txs) + 1, creator, eid, "d", t))
+            for step in (1, 2):
+                new_owner = rng.choice(users)
+                txs.append(transfer_tx(len(txs) + 1, owner, eid, new_owner,
+                                       t + step * T))
+                owner = new_owner
+            if k:
+                txs.append(remove_tx(len(txs) + 1, creator, eid, t + 3 * T))
+    return txs
+
+
+class _EagerNode(simulation._Node):
+    """The eager reference: every replica applies each block to its own
+    ledger as it commits it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.eager = LedgerState()
+
+    @property
+    def ledger(self):
+        return self.eager
+
+    def _committed(self, block):
+        receipts = [self.eager.apply(tx, block.timestamp)
+                    for tx in block.transactions]
+        self.mempool.remove_committed(tx.uid for tx in block.transactions)
+        if self.index == self.sim.reference:
+            self.sim.note_commit(block, receipts, self.sim.scheduler.now)
+
+
+def _ledgers(sim):
+    return {i: {eid: (e.owner, e.taddr, e.ttime)
+                for eid, e in node.ledger.evidences.items()}
+            for i, node in sim.nodes.items()}
+
+
+class TestLazyLedger:
+    """The reference replica applies each block once, at its commit; every
+    other replica's ledger applies its chain when read, and reads exactly
+    what eager application would give."""
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("fault", [SILENT, EQUIVOCATE])
+    @pytest.mark.parametrize("jitter", [0.0, 0.02])
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_matches_eager_application(self, n, jitter, fault, reject,
+                                       monkeypatch):
+        cfg = _cfg(periods=12, validators=n, base_delay=0.05, jitter=jitter,
+                   byzantine=((1, fault),), round_timeout=0.5 * T,
+                   reject_invalid_at_mempool=reject, seed=n)
+        wl = _lifecycle(cfg.periods, 3, seed=n)
+        sim = Simulation(cfg, wl)
+        result = sim.run()
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "_Node", _EagerNode)
+            oracle = Simulation(cfg, wl)
+            expected = oracle.run()
+        for field in dataclasses.fields(result):
+            assert repr(getattr(result, field.name)) == \
+                repr(getattr(expected, field.name)), field.name
+        assert _ledgers(sim) == _ledgers(oracle)
+        # the workload does what it is for: lifecycles commit, and replicas
+        # other than the reference propose transfers and removes
+        chain = sim.nodes[sim.reference].validator.chain
+        assert sim.nodes[sim.reference].ledger.evidences
+        assert any(b.proposer != sim.reference and
+                   any(tx.kind is not TxKind.CREATE for tx in b.transactions)
+                   for b in chain)
+        assert any(result.receipts[tx.uid].succeeded for tx in wl
+                   if tx.kind is TxKind.REMOVE and tx.uid in result.receipts)
+
+    def test_one_apply_per_committed_transaction(self, monkeypatch):
+        calls = []
+        real_apply = LedgerState.apply
+
+        def counting_apply(self, tx, ledger_time):
+            calls.append(tx.uid)
+            return real_apply(self, tx, ledger_time)
+
+        monkeypatch.setattr(LedgerState, "apply", counting_apply)
+        cfg = _cfg(periods=12)
+        sim = Simulation(cfg, _lifecycle(cfg.periods, 3, seed=1))
+        sim.run()
+
+        def txs(i):
+            return [tx.uid for b in sim.nodes[i].validator.chain
+                    for tx in b.transactions]
+
+        assert calls == txs(sim.reference) and calls
+        for i in sim.nodes:
+            before = len(calls)
+            sim.nodes[i].ledger
+            sim.nodes[i].ledger
+            applied = calls[before:]
+            assert applied == ([] if i == sim.reference else txs(i))
