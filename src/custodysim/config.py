@@ -26,6 +26,7 @@ class ConfigError(ValueError):
 SILENT = "silent"
 EQUIVOCATE = "equivocate"
 FAULT_KINDS = (SILENT, EQUIVOCATE)   # the Byzantine behaviours a run can inject
+MAX_DRAIN_PERIODS = 1000   # most periods a run drains for after the last issue
 
 
 def _require_finite(params, *names: str) -> None:
@@ -93,6 +94,18 @@ class ExperimentConfig(ChainParams):
             raise ConfigError(
                 f"{len(self.byzantine)} faulty validators exceeds the "
                 f"tolerated f={f} for n={self.validators}")
+        # the simulated clock must stay finite up to the last timer
+        if not math.isfinite(self.effective_round_timeout):
+            raise ConfigError(
+                f"the default round timeout 2 * {self.period} is not finite")
+        try:
+            horizon = self.period * (self.periods + MAX_DRAIN_PERIODS + 2)
+        except OverflowError:   # periods too large for a float
+            horizon = math.inf
+        if not math.isfinite(horizon):
+            raise ConfigError(
+                f"{self.periods} periods of {self.period} s, plus up to "
+                f"{MAX_DRAIN_PERIODS} drain periods, overflow the clock")
 
     @property
     def effective_round_timeout(self) -> float:

@@ -14,6 +14,11 @@ only after they let the transaction commit. A transaction that breaks a
 rule reverts: its receipt names the ``RevertReason``, it still pays its
 gas, and ``REVERT_ERRORS`` maps the reason to the ``LedgerError`` a
 caller raises for it.
+
+Functions read enum members from module constants (``TRANSFER``, not
+``TxKind.TRANSFER``): on Python 3.11.7 each ``Enum.X`` read goes
+through ``EnumType.__getattr__``, about ten times the cost of a global,
+on the per-transaction path of every block built and applied.
 """
 from __future__ import annotations
 
@@ -149,6 +154,9 @@ class TxKind(enum.Enum):
     REMOVE = "remove"
 
 
+CREATE, TRANSFER, REMOVE = TxKind.CREATE, TxKind.TRANSFER, TxKind.REMOVE
+
+
 def create_gas(length: int) -> int:
     """Gas for a create with a description of the given length.
 
@@ -175,17 +183,17 @@ def _check_length(length: int) -> None:
 
 
 def tx_gas(kind: TxKind, description_length: int = 0) -> int:
-    if kind is TxKind.TRANSFER:
+    if kind is TRANSFER:
         return TRANSFER_GAS
-    if kind is TxKind.REMOVE:
+    if kind is REMOVE:
         return REMOVE_GAS
     return create_gas(description_length)
 
 
 def tx_size(kind: TxKind, description_length: int = 0) -> int:
-    if kind is TxKind.TRANSFER:
+    if kind is TRANSFER:
         return TRANSFER_SIZE
-    if kind is TxKind.REMOVE:
+    if kind is REMOVE:
         return REMOVE_SIZE
     return create_size(description_length)
 
@@ -212,20 +220,20 @@ def create_tx(uid: int, issuer: Address, evidence_id: EvidenceId,
             f"description is {len(description)} characters, max {MAX_DESCRIPTION_LEN}"
         )
     length = len(description)
-    return Transaction(uid, TxKind.CREATE, issuer, evidence_id, issue_time,
+    return Transaction(uid, CREATE, issuer, evidence_id, issue_time,
                        gas=create_gas(length), size=create_size(length),
                        description=description)
 
 
 def transfer_tx(uid: int, issuer: Address, evidence_id: EvidenceId,
                 new_owner: Address, issue_time: float) -> Transaction:
-    return Transaction(uid, TxKind.TRANSFER, issuer, evidence_id, issue_time,
+    return Transaction(uid, TRANSFER, issuer, evidence_id, issue_time,
                        gas=TRANSFER_GAS, size=TRANSFER_SIZE, new_owner=new_owner)
 
 
 def remove_tx(uid: int, issuer: Address, evidence_id: EvidenceId,
               issue_time: float) -> Transaction:
-    return Transaction(uid, TxKind.REMOVE, issuer, evidence_id, issue_time,
+    return Transaction(uid, REMOVE, issuer, evidence_id, issue_time,
                        gas=REMOVE_GAS, size=REMOVE_SIZE)
 
 
@@ -236,6 +244,14 @@ class RevertReason(enum.Enum):
     NOT_OWNER = "not-owner"
     NOT_CREATOR = "not-creator"
     DESCRIPTION_TOO_LONG = "description-too-long"
+
+
+INVALID_ID = RevertReason.INVALID_ID
+EVIDENCE_EXISTS = RevertReason.EVIDENCE_EXISTS
+EVIDENCE_NOT_FOUND = RevertReason.EVIDENCE_NOT_FOUND
+NOT_OWNER = RevertReason.NOT_OWNER
+NOT_CREATOR = RevertReason.NOT_CREATOR
+DESCRIPTION_TOO_LONG = RevertReason.DESCRIPTION_TOO_LONG
 
 
 REVERT_ERRORS = {
@@ -256,18 +272,18 @@ def _revert_reason(tx: Transaction,
     Returns why tx would revert, or None if it would commit.
     """
     kind = tx.kind
-    if kind is not TxKind.CREATE:
+    if kind is not CREATE:
         if entry is None:
-            return RevertReason.EVIDENCE_NOT_FOUND
-        if kind is TxKind.TRANSFER:
-            return None if tx.issuer == entry.owner else RevertReason.NOT_OWNER
-        return None if tx.issuer == entry.creator else RevertReason.NOT_CREATOR
+            return EVIDENCE_NOT_FOUND
+        if kind is TRANSFER:
+            return None if tx.issuer == entry.owner else NOT_OWNER
+        return None if tx.issuer == entry.creator else NOT_CREATOR
     if tx.evidence_id.is_zero():
-        return RevertReason.INVALID_ID
+        return INVALID_ID
     if entry is not None:
-        return RevertReason.EVIDENCE_EXISTS
+        return EVIDENCE_EXISTS
     if len(tx.description or "") > MAX_DESCRIPTION_LEN:
-        return RevertReason.DESCRIPTION_TOO_LONG
+        return DESCRIPTION_TOO_LONG
     return None
 
 
@@ -320,11 +336,11 @@ class LedgerState:
         reason = _revert_reason(tx, entry)
         if reason is None:
             kind = tx.kind
-            if kind is TxKind.TRANSFER:  # the most frequent kind first
+            if kind is TRANSFER:  # the most frequent kind first
                 entry.owner = tx.new_owner
                 entry.taddr.append(tx.new_owner)
                 entry.ttime.append(ledger_time)
-            elif kind is TxKind.CREATE:
+            elif kind is CREATE:
                 self.evidences[tx.evidence_id] = EvidenceEntry(
                     id=tx.evidence_id, creator=tx.issuer, owner=tx.issuer,
                     description=tx.description or "", taddr=[tx.issuer],

@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 from . import blocks as blk
 from .blocks import Block, Mempool, block_digest, block_size, build_block
 # ConfigError is re-exported: callers import it with ExperimentConfig
-from .config import EQUIVOCATE, SILENT, ConfigError, ExperimentConfig
-from .consensus import ConsensusMessage, MsgType, Validator, wire_size
+from .config import (EQUIVOCATE, MAX_DRAIN_PERIODS, SILENT, ConfigError,
+                     ExperimentConfig)
+from .consensus import PRE_PREPARE, ConsensusMessage, Validator, wire_size
 from .ledger import LedgerState, Transaction
 from .netsim import LinkModel, Network, Scheduler
-
-MAX_DRAIN_PERIODS = 1000   # most periods a run drains for after the last issue
 
 
 @dataclass
@@ -80,7 +79,7 @@ class _Node:
     def _broadcast(self, msg: ConsensusMessage) -> None:
         sends = ((msg, None),) if self.fault is None else self.fault(self, msg)
         for out, recipients in sends:
-            if out.type is MsgType.PRE_PREPARE:
+            if out.type is PRE_PREPARE:
                 self.sim.note_proposal(out)
             self.sim.network.broadcast(self.index, out, wire_size(out),
                                        recipients)
@@ -138,7 +137,7 @@ def _equivocate(node: _Node, msg: ConsensusMessage) -> tuple:
     The node tracks the chain honestly, so later equivocations still
     carry a plausible parent digest.
     """
-    if msg.type is not MsgType.PRE_PREPARE:
+    if msg.type is not PRE_PREPARE:
         return ()
     ids = sorted(node.sim.nodes)
     half = len(ids) // 2

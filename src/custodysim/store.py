@@ -43,9 +43,10 @@ import re
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .ledger import (REVERT_ERRORS, Address, EvidenceEntry, EvidenceId,
-                     EvidenceNotFound, LedgerError, LedgerState, NotOwner,
-                     Transaction, TxKind, create_tx, remove_tx, transfer_tx)
+from .ledger import (CREATE, REVERT_ERRORS, TRANSFER, Address, EvidenceEntry,
+                     EvidenceId, EvidenceNotFound, LedgerError, LedgerState,
+                     NotOwner, Transaction, TxKind, create_tx, remove_tx,
+                     transfer_tx)
 
 LEDGER = "ledger.jsonl"
 _BLOB_FILE = re.compile(r"[0-9a-f]{64}\.bin")
@@ -227,9 +228,9 @@ class LocalLedgerClient:
         kind, time = TxKind(record["kind"]), float(record["time"])
         head = (int(record["uid"]), Address.from_hex(record["issuer"]),
                 EvidenceId.from_hex(record["id"]))
-        if kind is TxKind.CREATE:
+        if kind is CREATE:
             tx = create_tx(*head, _text(record["description"]), time)
-        elif kind is TxKind.TRANSFER:
+        elif kind is TRANSFER:
             tx = transfer_tx(*head, Address.from_hex(record["new_owner"]), time)
         else:
             tx = remove_tx(*head, time)
@@ -244,9 +245,9 @@ class LocalLedgerClient:
         if self.journal is not None:
             record = {"uid": tx.uid, "time": time, "kind": tx.kind.value,
                       "issuer": tx.issuer.hex, "id": tx.evidence_id.hex}
-            if tx.kind is TxKind.CREATE:
+            if tx.kind is CREATE:
                 record["description"] = tx.description
-            elif tx.kind is TxKind.TRANSFER:
+            elif tx.kind is TRANSFER:
                 record["new_owner"] = tx.new_owner.hex
             try:
                 self.cut_torn()

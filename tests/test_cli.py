@@ -103,6 +103,24 @@ class TestSimRun:
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--period", "1e308", "--periods", "3"],
+         "the default round timeout 2 * 1e+308 is not finite"),
+        (["--period", "1e305", "--periods", "100000"],
+         "100000 periods of 1e+305 s, plus up to 1000 drain periods, "
+         "overflow the clock"),
+        (["--periods", "1" + "0" * 400],
+         f"1{'0' * 400} periods of 300.0 s, plus up to 1000 drain periods, "
+         "overflow the clock"),
+    ])
+    def test_run_past_the_float_clock_exits_2(self, argv, message, capsys):
+        """A run whose timers or period boundaries overflow to inf would
+        never finish; a count of periods too large for a float would
+        raise OverflowError."""
+        code, out, err = _run(capsys, "sim", "run", *argv)
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
+
     def test_empty_byzantine_flag_overrides_the_config_file(self, tmp_path,
                                                            capsys):
         cfg = tmp_path / "faults.cfg"
@@ -173,17 +191,23 @@ GOLDEN_RUNS = {
                            "--byzantine", "3:equivocate"],
                           "57878650b966722a93f36a112989b7b40eef553800645230869dabc86ed2cadf",
                           "dad9c04f7589bee94a63233200d3e2869a856d75d6472bcf5aa2d5e35ec18e2c"),
+    "silent-wide": (["--config", "{config}", "--validators", "16",
+                     "--byzantine", "5:silent"],
+                    "76c896e80b6187472d2640a8a717a794f0807be7c37bdb07eb22b222648384c0",
+                    "48a87786fd0369cfa97884a2392eebf8838158b895efc9a51616fa7a600786fd"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
 
 
 class TestGoldenOutput:
-    """`sim run` output pinned byte for byte for five seeded scenarios.
+    """`sim run` output pinned byte for byte for six seeded scenarios.
 
-    The delay-jitter and equivocate-jitter scenarios set base_delay and
-    jitter through a config file, so every client transaction draws link
-    jitter on its way to the mempools, and in equivocate-jitter the two
-    halves of each conflicting proposal draw it too. A change to the
+    The delay-jitter, equivocate-jitter and silent-wide scenarios set
+    base_delay and jitter through a config file, so every client
+    transaction draws link jitter on its way to the mempools, and in
+    equivocate-jitter the two halves of each conflicting proposal draw it
+    too. silent-wide runs 16 validators, one of them silent, so each
+    height it should propose goes through a round change under jitter. A change to the
     engine that keeps its results must keep these hashes. A change that
     declares a change of behaviour records them again.
     """
@@ -928,15 +952,14 @@ def _argv(draw, parser=None):
 def _runs_for_minutes(argv) -> bool:
     """A sim run the simulator does not finish in seconds (CHANGES.md
     FOUND): a round timeout far below the period restarts rounds without
-    end while no round completes, and a period near the float limit turns
-    the round timer into inf."""
+    end while no round completes."""
     if argv[0] != "sim":
         return False
     try:
         cfg = cli._config_from_args(_build_parser().parse_args(argv))
     except (SystemExit, ConfigError, OSError):
         return False    # main exits before the simulator starts
-    return cfg.period > 1e300 or cfg.effective_round_timeout < cfg.period / 4
+    return cfg.effective_round_timeout < cfg.period / 4
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -945,6 +968,7 @@ def _runs_for_minutes(argv) -> bool:
 @example(argv=["sim", "run", "--periods", "2", "--config", "cfg"],
          config=b"periods = 2\n\xff\n")
 @example(argv=["analyze", "table2", "--period", "1e-300"], config=b"")
+@example(argv=["sim", "run", "--period", "1e308", "--periods", "3"], config=b"")
 @example(argv=["analyze", "plan-gas-limit", "--max-gas-rate", "1",
                "--avg-gas-rate", "1", "--max-consensus-latency", "1e308"],
          config=b"")
