@@ -333,13 +333,26 @@ def cmd_analyze_ukp(args) -> int:
 # -- ledger commands ---------------------------------------------------
 
 
+def _utf8(text: str, what: str) -> str:
+    """Refuse text that is not UTF-8: Python passes an argument's
+    undecodable bytes as lone surrogates, which the ledger cannot hash or
+    journal."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ConfigError(f"bad {what} {text!r}: not UTF-8") from err
+    return text
+
+
 def _identity(label: str) -> Address:
+    """Parse an --as or --to argument, before any command touches the
+    store."""
     if len(label) == 40:
         try:
             return Address.from_hex(label)
         except ValueError:
             pass
-    return Address.from_label(label)
+    return Address.from_label(_utf8(label, "identity"))
 
 
 def _evidence_id(text: str) -> EvidenceId:
@@ -351,27 +364,29 @@ def _evidence_id(text: str) -> EvidenceId:
 
 
 def cmd_ledger_create(args) -> int:
+    creator = _identity(args.identity)
+    description = _utf8(args.desc, "description")
     blob = args.file.read_bytes()
     with open_custody(args.store) as frontend:
-        evidence_id = frontend.submit_evidence(_identity(args.identity), blob,
-                                               args.desc)
+        evidence_id = frontend.submit_evidence(creator, blob, description)
     print(evidence_id.hex)
     return 0
 
 
 def cmd_ledger_transfer(args) -> int:
     evidence_id = _evidence_id(args.id)
+    owner, new_owner = _identity(args.identity), _identity(args.to)
     with open_custody(args.store) as frontend:
-        frontend.transfer_evidence(_identity(args.identity), evidence_id,
-                                   _identity(args.to))
+        frontend.transfer_evidence(owner, evidence_id, new_owner)
     print("transferred")
     return 0
 
 
 def cmd_ledger_discard(args) -> int:
     evidence_id = _evidence_id(args.id)
+    requester = _identity(args.identity)
     with open_custody(args.store) as frontend:
-        frontend.discard_evidence(_identity(args.identity), evidence_id)
+        frontend.discard_evidence(requester, evidence_id)
     print("removed")
     return 0
 
@@ -392,8 +407,9 @@ def cmd_ledger_show(args) -> int:
 
 def cmd_ledger_acquire(args) -> int:
     evidence_id = _evidence_id(args.id)
+    requester = _identity(args.identity)
     with open_custody(args.store, reconcile=False) as frontend:
-        blob = frontend.acquire_evidence(_identity(args.identity), evidence_id)
+        blob = frontend.acquire_evidence(requester, evidence_id)
     if args.out:
         args.out.write_bytes(blob)
         print(f"wrote {len(blob)} bytes to {args.out}")

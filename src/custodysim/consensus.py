@@ -148,14 +148,9 @@ class Validator:
     def start_height(self, period_start: float) -> None:
         """Begin consensus for the next height; called at a period boundary."""
         self.active = True
-        self.round = 0
-        self.phase = AWAITING
         self.period_start = period_start
-        self.locked_block = None
-        self.locked_digest = None
         self.locked = False
-        self.prepare_votes = {}
-        self.commit_votes = {}
+        self._reset_round(0)
         self._arm_timer()
         if self.is_proposer():
             block = self._build_block(self.height, self.round, period_start)
@@ -203,6 +198,13 @@ class Validator:
         return True
 
     def _enter_round(self, round_: int) -> None:
+        self._reset_round(round_)
+        self._arm_timer()
+        self._replay_buffered()
+
+    def _reset_round(self, round_: int) -> None:
+        """Start ``round_`` awaiting its proposal, with no votes counted.
+        The locked block carries over only once this height is locked."""
         self.round = round_
         self.phase = AWAITING
         self.prepare_votes = {}
@@ -210,8 +212,6 @@ class Validator:
         if not self.locked:
             self.locked_block = None
             self.locked_digest = None
-        self._arm_timer()
-        self._replay_buffered()
 
     def _on_pre_prepare(self, msg: ConsensusMessage) -> None:
         if self.phase is not AWAITING:
@@ -276,14 +276,9 @@ class Validator:
         self.chain.append(block)
         self.chain_digests.append(self.locked_digest)
         self.height += 1
-        self.round = 0
         self.active = False
-        self.locked_block = None
-        self.locked_digest = None
         self.locked = False
-        self.prepare_votes = {}
-        self.commit_votes = {}
-        self.phase = AWAITING
+        self._reset_round(0)
         self._on_commit(block)
 
     # -- round change ---------------------------------------------------

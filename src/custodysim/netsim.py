@@ -1,18 +1,18 @@
-"""Deterministic discrete-event engine: virtual clock, links, broadcast.
+"""Deterministic discrete-event engine: virtual clock, one link, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
 run fires the same sequence of events at the same times. A delivery
 calls one of the recipient's callbacks with the message, deliver for
 validator traffic and admit for client traffic; no closure is built per
-delivery, and a node that drops everything gets no event. With jitter
-or per-pair links, each delivery is one entry that the broadcast pushes
-straight onto the scheduler's heap. On a jitter-free network with only
-the default link, a broadcast is at most two events: the self-delivery
-now, and one fan-out that delivers to every other recipient, in order,
-when the link's delay has passed. Client traffic enters the network as
-sender ``CLIENT`` and takes the same path as validator traffic, up to
-the callback it reaches. Work known in advance, such as a workload's
-injects, is fed to the scheduler and enters the heap only when due.
+delivery, and a node that drops everything gets no event. With jitter,
+each delivery is one entry that the broadcast pushes straight onto the
+scheduler's heap. On a jitter-free network, a broadcast is at most two
+events: the self-delivery now, and one fan-out that delivers to every
+other recipient, in order, when the link's delay has passed. Client
+traffic enters the network as sender ``CLIENT`` and takes the same path
+as validator traffic, up to the callback it reaches. Work known in
+advance, such as a workload's injects, is fed to the scheduler and
+enters the heap only when due.
 """
 from __future__ import annotations
 
@@ -121,23 +121,20 @@ class Scheduler:
 
 
 class Network:
-    """Broadcast fabric over point-to-point links.
+    """Broadcast fabric over one link model, the slowest channel, shared
+    by every pair of nodes.
 
-    Per-pair links override the default; the default models the slowest
-    channel. Self-delivery is immediate. Senders are node ids, or
-    ``CLIENT`` for traffic from outside the validator set; per-pair links
-    keyed on ``CLIENT`` apply to it too.
+    Self-delivery is immediate. Senders are node ids, or ``CLIENT`` for
+    traffic from outside the validator set.
 
     Each node registers two callbacks: deliver, for messages from nodes,
     and admit, for messages from ``CLIENT``.
     """
 
     def __init__(self, scheduler: Scheduler, default_link: LinkModel,
-                 links: Optional[dict] = None, jitter: float = 0.0,
-                 rng: Optional[random.Random] = None):
+                 jitter: float = 0.0, rng: Optional[random.Random] = None):
         self.scheduler = scheduler
         self.default_link = default_link
-        self.links = dict(links or {})
         self.jitter = jitter
         self.rng = rng or random.Random(0)
         self._delivers: dict[int, object] = {}
@@ -152,29 +149,24 @@ class Network:
         self._delivers[node_id] = deliver
         self._admits[node_id] = admit or deliver
 
-    def send(self, sender: int, recipient: int, message, wire_size: int) -> None:
-        """Point-to-point: a broadcast to the one recipient."""
-        self.broadcast(sender, message, wire_size, (recipient,))
-
     def broadcast(self, sender: int, message, wire_size: int,
                   recipients: Optional[Iterable[int]] = None) -> None:
-        """Deliver ``message`` to each recipient after its link's delay.
+        """Deliver ``message`` to each recipient after the link's delay.
 
         ``recipients`` defaults to every node, in the order they were
         added. Each gets the message through its admit callback when the
         sender is ``CLIENT``, else through its deliver callback. The
-        default link's delay is computed once per call; a per-pair link is
-        looked up only when one exists. With jitter, each non-self
+        link's delay is computed once per call. With jitter, each non-self
         delivery adds ``jitter * rng.random()``, in recipient order; that
         is the value ``rng.uniform(0.0, jitter)`` returns.
 
-        Without jitter or per-pair links, every non-self delivery fires at
-        the same time, ``now`` plus the default delay, so one fan-out
-        event delivers them in recipient order. That is the order in which
-        one event per recipient, scheduled back to back, would fire. When
-        that delay does not move the clock (it is 0), self and the others
-        share a fire time, and one event per recipient keeps the
-        self-delivery in its place.
+        Without jitter, every non-self delivery fires at the same time,
+        ``now`` plus the link's delay, so one fan-out event delivers them
+        in recipient order. That is the order in which one event per
+        recipient, scheduled back to back, would fire. When that delay
+        does not move the clock (it is 0), self and the others share a
+        fire time, and one event per recipient keeps the self-delivery in
+        its place.
 
         A recipient that drops everything still draws its jitter, so the
         other recipients' times and the rng stream do not depend on it.
@@ -187,14 +179,14 @@ class Network:
         nodes = self._admits if sender == CLIENT else self._delivers
         if sender not in nodes and sender >= 0:
             raise UnknownNode(str(sender))
-        default = self.default_link.transmission_delay(wire_size)
-        links, jitter = self.links, self.jitter
+        link_delay = self.default_link.transmission_delay(wire_size)
+        jitter = self.jitter
         scheduler = self.scheduler
         now, schedule_at = scheduler.now, scheduler.schedule_at
         pairs = nodes.items() if recipients is None else \
             [(recipient, nodes.get(recipient)) for recipient in recipients]
-        fire = now + default
-        if not links and jitter <= 0 and fire > now:
+        fire = now + link_delay
+        if jitter <= 0 and fire > now:
             others = []
             for recipient, deliver in pairs:
                 if deliver is None:
@@ -217,9 +209,7 @@ class Network:
                 if recipient == sender:
                     delay = 0.0
                 else:
-                    link = links.get((sender, recipient)) if links else None
-                    delay = default if link is None \
-                        else link.transmission_delay(wire_size)
+                    delay = link_delay
                     if jitter > 0:
                         delay += jitter * draw()
                 if deliver is not _DROP:

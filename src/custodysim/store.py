@@ -173,11 +173,6 @@ class EvidenceStore:
         """The stored file of an id as it is: blob ‖ nonce, if intact."""
         return _read_file(self._file(evidence_id))
 
-    def get(self, evidence_id: EvidenceId) -> tuple[bytes, int]:
-        """Return (blob, nonce) for a stored id."""
-        data = self.read(evidence_id)
-        return data[:-8], int.from_bytes(data[-8:], "big")
-
     def delete(self, evidence_id: EvidenceId) -> None:
         self._file(evidence_id).unlink(missing_ok=True)
         del self._files[evidence_id]

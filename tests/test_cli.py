@@ -681,6 +681,28 @@ class TestLedgerStore:
                        f"{store} holds no custody store to read\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["create", "--file", "blob", "--as", "al\udcffce"],
+        ["create", "--file", "blob", "--as", "alice", "--desc", "caf\udcff"],
+        ["transfer", "ab" * 32, "--to", "b\udcffb", "--as", "alice"],
+        ["discard", "ab" * 32, "--as", "al\udcffce"],
+        ["acquire", "ab" * 32, "--as", "al\udcffce"],
+    ], ids=["create-as", "create-desc", "transfer-to", "discard-as",
+            "acquire-as"])
+    def test_undecodable_argument_exits_2_and_creates_no_store(
+            self, argv, tmp_path, capsys):
+        """An argument with bytes that are not UTF-8 is refused before the
+        store is opened, so a create makes no store directory."""
+        (tmp_path / "blob").write_bytes(b"evidence")
+        store = tmp_path / "s"
+        with contextlib.chdir(tmp_path):
+            code, out, err = _run(capsys, "ledger", "--store", str(store),
+                                  *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad ") and "\\udcff" in err
+        assert err.count("\n") == 1
+        assert not store.exists()
+
     def test_readers_share_the_lock_and_a_writer_waits(self, tmp_path,
                                                        capsys):
         store, blob = tmp_path / "s", tmp_path / "e.bin"
@@ -890,12 +912,14 @@ class TestLedgerStore:
 
 # -- argv fuzz -----------------------------------------------------------
 
-# hand-picked hostile values; drawn text adds the rest
+# hand-picked hostile values; drawn text adds the rest. Python passes an
+# argument's undecodable bytes as lone surrogates, which drawn text never
+# holds: "al\udcffce" is the argument al, byte 0xff, ce.
 _HOSTILE = ("", " ", "-1", "0", "1", "3", "1_0", "\u0663", "0x1f", "nan",
             "inf", "-inf", "1e-300", "1e308", "\u00e9", "x" * 300,
             " 3 : silent", "1:equivocate,2:silent", "9:silent", "rate:3",
             "rate:-1", "ramp:0:900000", "ramp:x", "seed=0", "period=",
-            "1,2,x", "alice", "00" * 32)
+            "1,2,x", "alice", "00" * 32, "al\udcffce")
 # values most options accept, so a draw also gets past the argument checks
 _PLAIN = ("1", "2", "5", "0.5", "rate:2", "ramp:0:500000", "seed=1", "alice",
           "ab" * 32)
@@ -923,7 +947,8 @@ _CONFIG_BYTES = st.one_of(
     st.binary(max_size=64),
     st.lists(st.tuples(st.sampled_from(sorted(_FIELD_PARSERS)), _TEXT),
              max_size=4).map(lambda kv: "".join(
-                 f"{k.replace('_', '-')} = {v}\n" for k, v in kv).encode()))
+                 f"{k.replace('_', '-')} = {v}\n" for k, v in kv)
+                 .encode("utf-8", "surrogateescape")))
 
 
 @st.composite
@@ -972,6 +997,8 @@ def _runs_for_minutes(argv) -> bool:
 @example(argv=["analyze", "plan-gas-limit", "--max-gas-rate", "1",
                "--avg-gas-rate", "1", "--max-consensus-latency", "1e308"],
          config=b"")
+@example(argv=["ledger", "--store", "dir/new", "create", "--file", "blob",
+               "--as", "al\udcffce"], config=b"")
 @given(argv=_argv(), config=_CONFIG_BYTES)
 def test_any_argv_exits_0_1_or_2(argv, config, capsys):
     """Any argv the parser can be walked to, with hostile values and a

@@ -170,7 +170,7 @@ class TestNetwork:
     def test_unknown_recipient(self):
         _, net, _ = _net()
         with pytest.raises(UnknownNode):
-            net.send(0, 99, "x", 10)
+            net.broadcast(0, "x", 10, (99,))
 
     @pytest.mark.parametrize("jitter", [0.0, 0.005])
     def test_deliveries_before_an_unknown_recipient_stay_scheduled(self,
@@ -190,19 +190,6 @@ class TestNetwork:
         if not jitter:  # everything is due at 0, in the order scheduled
             assert log == [("m", 1), ("m", 2), ("n", 2), ("n", 1)]
 
-    def test_per_pair_link_override(self):
-        sched = Scheduler()
-        slow = LinkModel(1_000)
-        net = Network(sched, LinkModel(1_000_000), links={(0, 1): slow})
-        times = {}
-        net.add_node(0, lambda m: None)
-        net.add_node(1, lambda m: times.setdefault(1, sched.now))
-        net.add_node(2, lambda m: times.setdefault(2, sched.now))
-        net.broadcast(0, "m", wire_size=1000)
-        sched.run_until(10.0)
-        assert times[1] == pytest.approx(1.0)    # slow link
-        assert times[2] == pytest.approx(0.001)  # default link
-
     def test_inject_is_a_broadcast_from_client(self):
         def arrivals(send):
             sched, net, inboxes = _net(jitter=0.01, rng=random.Random(9))
@@ -214,18 +201,6 @@ class TestNetwork:
         assert injected == arrivals(
             lambda net: net.broadcast(CLIENT, "tx", 500))
         assert len({t for inbox in injected[0].values() for t, _ in inbox}) == 4
-
-    def test_inject_honours_client_links(self):
-        sched = Scheduler()
-        slow = LinkModel(1_000)
-        net = Network(sched, LinkModel(1_000_000), links={(CLIENT, 1): slow})
-        times = {}
-        for i in range(3):
-            net.add_node(i, lambda m, i=i: times.setdefault(i, sched.now))
-        net.inject("tx", wire_size=1000)
-        sched.run_until(10.0)
-        assert times[1] == pytest.approx(1.0)    # slow client link
-        assert times[0] == times[2] == pytest.approx(0.001)
 
 
 class TestCallbacks:
@@ -247,22 +222,21 @@ class TestCallbacks:
         sched, net, log = self._two_handler_net(jitter=jitter)
         net.inject("tx", 100)
         net.broadcast(1, "vote", 100)
-        net.send(2, 0, "one", 100)
+        net.broadcast(2, "one", 100, (0,))
         sched.run_until(1.0)
         assert sorted(log) == sorted(
             [("admit", i, "tx") for i in range(3)]
             + [("deliver", i, "vote") for i in range(3)]
             + [("deliver", 0, "one")])
 
-    @pytest.mark.parametrize("kwargs", [
-        {}, dict(jitter=0.005), dict(links={(0, 1): LinkModel(1_000)})])
+    @pytest.mark.parametrize("kwargs", [{}, dict(jitter=0.005)])
     @pytest.mark.parametrize("sender", [0, CLIENT])
     def test_unknown_recipient_on_both_paths(self, kwargs, sender):
         _, net, _ = self._two_handler_net(**kwargs)
         with pytest.raises(UnknownNode):
             net.broadcast(sender, "m", 100, [1, 99])
         with pytest.raises(UnknownNode):
-            net.send(sender, 99, "m", 100)
+            net.broadcast(sender, "m", 100, (99,))
 
     def test_unknown_sender(self):
         _, net, _ = self._two_handler_net()
@@ -270,9 +244,7 @@ class TestCallbacks:
             net.broadcast(99, "m", 100)
 
     @pytest.mark.parametrize("kwargs", [
-        {}, dict(jitter=0.005), dict(jitter=0.2),
-        dict(jitter=0.005, links={(0, 2): LinkModel(1_000),
-                                  (CLIENT, 3): LinkModel(5_000)})])
+        {}, dict(jitter=0.005), dict(jitter=0.2)])
     @pytest.mark.parametrize("dropper", [0, 2, 4])
     def test_dropping_node_leaves_others_and_rng_as_a_no_op_node(
             self, kwargs, dropper):
@@ -310,15 +282,14 @@ class TestCallbacks:
 
 
 def _reference_send(net, delivers, sender, recipient, message, wire_size):
-    """Network.send as it was before broadcast did the fan-out itself: one
-    link lookup, one ``rng.uniform`` draw and one closure per delivery."""
+    """A one-recipient send as it was before broadcast did the fan-out
+    itself: one ``rng.uniform`` draw and one closure per delivery."""
     if recipient not in delivers:
         raise UnknownNode(str(recipient))
     if sender == recipient:
         delay = 0.0
     else:
-        link = net.links.get((sender, recipient), net.default_link)
-        delay = link.transmission_delay(wire_size)
+        delay = net.default_link.transmission_delay(wire_size)
         if net.jitter > 0:
             delay += net.rng.uniform(0.0, net.jitter)
     deliver = delivers[recipient]
@@ -327,11 +298,6 @@ def _reference_send(net, delivers, sender, recipient, message, wire_size):
 
 _NODES = 5
 _SENDERS = st.sampled_from([CLIENT, *range(_NODES)])
-_LINKS = st.dictionaries(
-    st.tuples(_SENDERS, st.integers(0, _NODES - 1)),
-    st.builds(LinkModel, st.sampled_from([1_000.0, 250_000.0, 1e6]),
-              st.sampled_from([0.0, 0.01, 0.3])),
-    max_size=8)
 _SIZES = st.one_of(st.just(0), st.integers(1, 5_000))
 _TRANSMITS = (
     st.tuples(st.just("broadcast"), _SENDERS, _SIZES),
@@ -350,40 +316,37 @@ _REACTIONS = st.dictionaries(
     st.one_of(*_TRANSMITS), max_size=12)
 
 
-@given(sends=_SENDS, reactions=_REACTIONS, links=_LINKS,
+@given(sends=_SENDS, reactions=_REACTIONS,
        jitter=st.sampled_from([0.0, 0.005, 0.2]),
        base_delay=st.sampled_from([0.0, 0.01]), seed=st.integers(0, 2 ** 32))
 @example(sends=[("broadcast", 2, 0)], reactions={(0, 1): ("broadcast", 1, 0)},
-         links={}, jitter=0.0, base_delay=0.0, seed=0)
+         jitter=0.0, base_delay=0.0, seed=0)
 @example(sends=[("broadcast", 2, 0)], reactions={(0, 1): ("broadcast", 1, 0)},
-         links={}, jitter=0.0, base_delay=0.01, seed=0)
-def test_fan_out_matches_per_recipient_sends(sends, reactions, links, jitter,
+         jitter=0.0, base_delay=0.01, seed=0)
+def test_fan_out_matches_per_recipient_sends(sends, reactions, jitter,
                                              base_delay, seed):
-    """broadcast and send against the per-recipient send with a closure:
-    the same deliveries at the same times in the same order, and the same
-    rng state afterwards. Handlers that transmit while a message is being
-    delivered to them push new events, some due at once, in the middle of
-    a fan-out; a zero default delay with a zero size puts self and the
-    other recipients at one fire time."""
+    """broadcast to all, to a subset and to one recipient against the
+    per-recipient send with a closure: the same deliveries at the same
+    times in the same order, and the same rng state afterwards. Handlers
+    that transmit while a message is being delivered to them push new
+    events, some due at once, in the middle of a fan-out; a zero link
+    delay with a zero size puts self and the other recipients at one fire
+    time."""
     def run(fan_out):
         sched = Scheduler()
-        net = Network(sched, LinkModel(1e6, base_delay), links=links,
-                      jitter=jitter, rng=random.Random(seed))
+        net = Network(sched, LinkModel(1e6, base_delay), jitter=jitter,
+                      rng=random.Random(seed))
         log, delivers = [], {}
 
         def transmit(op, label):
             kind, sender, size, *to = op
-            if fan_out:
-                if kind == "broadcast":
-                    net.broadcast(sender, label, size)
-                elif kind == "subset":
-                    net.broadcast(sender, label, size, to[0])
-                else:
-                    net.send(sender, to[0], label, size)
-                return
-            recipients = range(_NODES) if kind == "broadcast" else \
+            recipients = None if kind == "broadcast" else \
                 to[0] if kind == "subset" else to
-            for recipient in recipients:
+            if fan_out:
+                net.broadcast(sender, label, size, recipients)
+                return
+            for recipient in range(_NODES) if recipients is None \
+                    else recipients:
                 _reference_send(net, delivers, sender, recipient, label, size)
 
         def deliver(i, message):
@@ -420,15 +383,9 @@ class TestEventCount:
         net.inject("tx", wire_size=100)
         assert sched.pending() == 1
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(jitter=0.005),
-        dict(links={(2, 3): LinkModel(1_000)}),   # a pair the sender is not in
-        dict(links={(0, 1): LinkModel(1_000)}),
-    ])
     @pytest.mark.parametrize("sender", [0, CLIENT])
-    def test_jitter_or_any_link_is_one_event_per_recipient(self, kwargs,
-                                                           sender):
-        sched, net, _ = _net(8, **kwargs)
+    def test_jittered_broadcast_is_one_event_per_recipient(self, sender):
+        sched, net, _ = _net(8, jitter=0.005)
         net.broadcast(sender, "m", wire_size=100)
         assert sched.pending() == 8
 

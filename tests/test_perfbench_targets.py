@@ -14,7 +14,8 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # wrapped names the package no longer has; the tracer lists them as absent
-KNOWN_ABSENT = {"netsim.Scheduler.run_until_idle"}
+KNOWN_ABSENT = {"netsim.Scheduler.run_until_idle", "netsim.Network.send",
+                "store.EvidenceStore.get"}
 
 
 def _targets():

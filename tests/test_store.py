@@ -27,6 +27,11 @@ BOB = Address.from_label("bob")
 CAROL = Address.from_label("carol")
 
 
+def _stored(blob: bytes, nonce: int) -> bytes:
+    """What a blob file holds: blob ‖ nonce."""
+    return blob + nonce.to_bytes(8, "big")
+
+
 @pytest.fixture
 def store(tmp_path):
     return EvidenceStore(tmp_path / "store")
@@ -57,7 +62,7 @@ class TestEvidenceStore:
     def test_put_get_roundtrip(self, store):
         eid = generate_id(b"payload", 3)
         store.put(eid, 3, b"payload")
-        assert store.get(eid) == (b"payload", 3)
+        assert store.read(eid) == _stored(b"payload", 3)
         assert eid in store
 
     def test_duplicate_put_rejected(self, store):
@@ -68,7 +73,7 @@ class TestEvidenceStore:
 
     def test_missing_id(self, store):
         with pytest.raises(EvidenceNotFound):
-            store.get(generate_id(b"nope", 0))
+            store.read(generate_id(b"nope", 0))
 
     def test_delete(self, store):
         eid = generate_id(b"x", 1)
@@ -83,7 +88,7 @@ class TestEvidenceStore:
         eid = generate_id(b"persist me", 42)
         first.put(eid, 42, b"persist me")
         second = EvidenceStore(root)
-        assert second.get(eid) == (b"persist me", 42)
+        assert second.read(eid) == _stored(b"persist me", 42)
         assert second.ids() == [eid]
 
     def test_a_short_read_is_continued(self, store, monkeypatch):
@@ -92,7 +97,7 @@ class TestEvidenceStore:
         store.put(eid, 3, b"payload")
         real_read = os.read
         monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, 3)))
-        assert store.get(eid) == (b"payload", 3)
+        assert store.read(eid) == _stored(b"payload", 3)
 
 
 _KEYS = st.integers(0, 5)
@@ -141,15 +146,15 @@ def test_store_matches_dict_model(steps):
             assert {path.name: path.read_bytes()
                     for path in root.glob("*.bin")
                     if re.fullmatch(r"[0-9a-f]{64}\.bin", path.name)} == {
-                f"{eid.hex}.bin": blob + nonce.to_bytes(8, "big")
+                f"{eid.hex}.bin": _stored(blob, nonce)
                 for eid, (blob, nonce) in model.items()}
             for eid in eids:
                 assert (eid in store) == (eid in model)
                 if eid in model:
-                    assert store.get(eid) == model[eid]
+                    assert store.read(eid) == _stored(*model[eid])
                 else:
                     with pytest.raises(EvidenceNotFound):
-                        store.get(eid)
+                        store.read(eid)
 
 
 class TestSubmitEvidence:
@@ -157,7 +162,7 @@ class TestSubmitEvidence:
         eid = frontend.submit_evidence(ALICE, b"disk image", "laptop")
         entry = frontend.client.get_entry(eid)
         assert entry.creator == ALICE and entry.owner == ALICE
-        assert frontend.store.get(eid)[0] == b"disk image"
+        assert frontend.store.read(eid)[:-8] == b"disk image"
 
     def test_identical_blobs_get_distinct_ids(self, frontend):
         a = frontend.submit_evidence(ALICE, b"same bytes", "one")
@@ -262,8 +267,8 @@ class TestAcquire:
             store.put(eid, nonce, blob)
             frontend = Frontend(store, client, hash_func=recording)
             assert frontend.acquire_evidence(ALICE, eid) == blob
-            assert store.get(eid) == (blob, nonce)
-        assert calls == [blob + nonce.to_bytes(8, "big")]
+            assert store.read(eid) == _stored(blob, nonce)
+        assert calls == [_stored(blob, nonce)]
         assert type(calls[0]) is bytes
         assert digests == [eid.value]
 
