@@ -20,7 +20,7 @@ from .config import (FAULT_KINDS, ChainParams, ConfigError, ExperimentConfig,
                      finite_float, parse_value, read_config_file)
 from .ledger import Address, EvidenceId, LedgerError
 from .simulation import run_experiment
-from .store import StoreError, open_custody
+from .store import StoreError, is_utf8, open_custody
 
 METRICS_COLUMNS = ("period_index", "gas_rate", "mean_lb", "max_lb", "mean_lc",
                    "committed_block_size", "chain_size_bytes", "mempool_depth")
@@ -337,10 +337,8 @@ def _utf8(text: str, what: str) -> str:
     """Refuse text that is not UTF-8: Python passes an argument's
     undecodable bytes as lone surrogates, which the ledger cannot hash or
     journal."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise ConfigError(f"bad {what} {text!r}: not UTF-8") from err
+    if not is_utf8(text):
+        raise ConfigError(f"bad {what} {text!r}: not UTF-8")
     return text
 
 
@@ -396,7 +394,10 @@ def cmd_ledger_show(args) -> int:
     with open_custody(args.store, reconcile=False) as frontend:
         entry = frontend.client.get_entry(evidence_id)
     print(f"id:          {entry.id.hex}")
-    print(f"description: {entry.description}")
+    # a description an older version journaled from an undecodable
+    # argument holds lone surrogates: shown as backslash escapes
+    description = entry.description.encode("utf-8", "backslashreplace")
+    print(f"description: {description.decode()}")
     print(f"creator:     {entry.creator.hex}")
     print(f"owner:       {entry.owner.hex}")
     print("custody history:")

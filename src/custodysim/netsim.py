@@ -10,8 +10,12 @@ scheduler's heap. On a jitter-free network, a broadcast is at most two
 events: the self-delivery now, and one fan-out that delivers to every
 other recipient, in order, when the link's delay has passed. Client
 traffic enters the network as sender ``CLIENT`` and takes the same path
-as validator traffic, up to the callback it reaches. Work known in
-advance, such as a workload's injects, is fed to the scheduler and
+as validator traffic, up to the callback it reaches. Which callbacks a
+broadcast reaches, and in what order, is worked out once per sender and
+recipient list, the first time they are used, and kept as a delivery
+plan until a node is added; a broadcast that names an unknown node
+raises while its plan is built, before anything is scheduled. Work known
+in advance, such as a workload's injects, is fed to the scheduler and
 enters the heap only when due.
 """
 from __future__ import annotations
@@ -128,7 +132,11 @@ class Network:
     traffic from outside the validator set.
 
     Each node registers two callbacks: deliver, for messages from nodes,
-    and admit, for messages from ``CLIENT``.
+    and admit, for messages from ``CLIENT``. Who gets a broadcast, and
+    through which callback, is fixed once the nodes are added, so the
+    network builds one delivery plan per ``(sender, recipients)`` the
+    first time it is broadcast, and reuses it until ``add_node`` drops
+    every plan.
     """
 
     def __init__(self, scheduler: Scheduler, default_link: LinkModel,
@@ -139,26 +147,59 @@ class Network:
         self.rng = rng or random.Random(0)
         self._delivers: dict[int, object] = {}
         self._admits: dict[int, object] = {}
+        self._plans: dict[tuple, tuple] = {}
 
     def add_node(self, node_id: int, deliver: Optional[Callable] = None,
                  admit: Optional[Callable] = None) -> None:
         """Register a node. ``admit`` defaults to ``deliver``; a node with
         no deliver drops everything sent to it, and no event is scheduled
-        for it."""
+        for it. Drops every delivery plan built so far."""
         deliver = deliver or _DROP
         self._delivers[node_id] = deliver
         self._admits[node_id] = admit or deliver
+        self._plans.clear()
+
+    def _plan(self, key: tuple) -> tuple:
+        """``(own, others, before, after)`` for a ``(sender, recipients)``
+        key: the sender's own callback when it is a recipient and does not
+        drop, else None; the other recipients' callbacks, dropping ones
+        left out; and every callback before and after the sender's place
+        in the recipients, dropping ones kept. Raises UnknownNode for an
+        unknown sender or recipient, ValueError for a repeated recipient.
+        """
+        sender, recipients = key
+        nodes = self._admits if sender == CLIENT else self._delivers
+        if sender not in nodes and sender >= 0:
+            raise UnknownNode(str(sender))
+        ids = list(nodes) if recipients is None else list(recipients)
+        for recipient in ids:
+            if recipient not in nodes:
+                raise UnknownNode(str(recipient))
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"recipients repeat a node: {ids}")
+        split = ids.index(sender) if sender in ids else len(ids)
+        own = nodes[sender] if split < len(ids) else _DROP
+        before = tuple(nodes[i] for i in ids[:split])
+        after = tuple(nodes[i] for i in ids[split + 1:])
+        others = tuple(d for d in before + after if d is not _DROP)
+        plan = (None if own is _DROP else own, others, before, after)
+        self._plans[key] = plan
+        return plan
 
     def broadcast(self, sender: int, message, wire_size: int,
                   recipients: Optional[Iterable[int]] = None) -> None:
         """Deliver ``message`` to each recipient after the link's delay.
 
         ``recipients`` defaults to every node, in the order they were
-        added. Each gets the message through its admit callback when the
-        sender is ``CLIENT``, else through its deliver callback. The
-        link's delay is computed once per call. With jitter, each non-self
-        delivery adds ``jitter * rng.random()``, in recipient order; that
-        is the value ``rng.uniform(0.0, jitter)`` returns.
+        added, and otherwise names distinct nodes. Each gets the message
+        through its admit callback when the sender is ``CLIENT``, else
+        through its deliver callback. The first broadcast of a ``(sender,
+        recipients)`` builds its plan (see ``_plan``); an unknown sender
+        or recipient raises UnknownNode then, before anything is
+        scheduled. The link's delay is computed once per call. With
+        jitter, each non-self delivery adds ``jitter * rng.random()``, in
+        recipient order; that is the value ``rng.uniform(0.0, jitter)``
+        returns.
 
         Without jitter, every non-self delivery fires at the same time,
         ``now`` plus the link's delay, so one fan-out event delivers them
@@ -172,51 +213,44 @@ class Network:
         other recipients' times and the rng stream do not depend on it.
 
         Every delay is at least 0, so no delivery can be due in the past,
-        and the per-delivery path pushes ``(fire_time, seq, deliver,
-        (message,))`` straight onto the scheduler's heap, sharing one args
-        tuple, with the seqs that ``schedule_at`` would have given.
+        and each event goes straight onto the scheduler's heap as
+        ``(fire_time, seq, action, args)``, with the seqs that
+        ``schedule_at`` would have given; the per-delivery events share
+        one args tuple.
         """
-        nodes = self._admits if sender == CLIENT else self._delivers
-        if sender not in nodes and sender >= 0:
-            raise UnknownNode(str(sender))
+        key = (sender, None if recipients is None else tuple(recipients))
+        own, others, before, after = self._plans.get(key) or self._plan(key)
         link_delay = self.default_link.transmission_delay(wire_size)
         jitter = self.jitter
         scheduler = self.scheduler
-        now, schedule_at = scheduler.now, scheduler.schedule_at
-        pairs = nodes.items() if recipients is None else \
-            [(recipient, nodes.get(recipient)) for recipient in recipients]
+        heap, seq, now = scheduler._heap, scheduler._seq, scheduler.now
+        args = (message,)
         fire = now + link_delay
         if jitter <= 0 and fire > now:
-            others = []
-            for recipient, deliver in pairs:
-                if deliver is None:
-                    raise UnknownNode(str(recipient))
-                if deliver is _DROP:
-                    continue
-                if recipient == sender:
-                    schedule_at(now, deliver, message)
-                else:
-                    others.append(deliver)
+            if own is not None:
+                heappush(heap, (now, seq, own, args))
+                seq += 1
             if others:
-                schedule_at(fire, _fan_out, others, message)
-            return
-        draw = self.rng.random
-        heap, seq, args = scheduler._heap, scheduler._seq, (message,)
-        try:
-            for recipient, deliver in pairs:
-                if deliver is None:
-                    raise UnknownNode(str(recipient))
-                if recipient == sender:
-                    delay = 0.0
-                else:
-                    delay = link_delay
-                    if jitter > 0:
-                        delay += jitter * draw()
-                if deliver is not _DROP:
-                    heappush(heap, (now + delay, seq, deliver, args))
-                    seq += 1
-        finally:
+                heappush(heap, (fire, seq, _fan_out, (others, message)))
+                seq += 1
             scheduler._seq = seq
+            return
+        # without jitter every delivery here is due now and draws nothing
+        draw = self.rng.random if jitter > 0 else float   # float() == 0.0
+        for deliver in before:
+            fire = now + (link_delay + jitter * draw())
+            if deliver is not _DROP:
+                heappush(heap, (fire, seq, deliver, args))
+                seq += 1
+        if own is not None:
+            heappush(heap, (now, seq, own, args))
+            seq += 1
+        for deliver in after:
+            fire = now + (link_delay + jitter * draw())
+            if deliver is not _DROP:
+                heappush(heap, (fire, seq, deliver, args))
+                seq += 1
+        scheduler._seq = seq
 
     def inject(self, message, wire_size: int) -> None:
         """Admit a message from outside the validator set (e.g. a client)

@@ -57,7 +57,12 @@ class SimResult:
 class _Node:
     """One validator process: consensus, a mempool and a ledger replica.
     The reference replica applies each block as it commits; any other
-    replica's ledger catches up with its own chain when ``ledger`` is read."""
+    replica's ledger catches up with its own chain when ``ledger`` is read.
+
+    The send path is chosen at construction: an honest node broadcasts
+    each message as it is, and only a faulty one runs its rule from
+    ``_FAULTS``. Simulation chooses the admit callback when it registers
+    the node: ``mempool.submit``, or ``_admit`` under strict admission."""
 
     def __init__(self, sim: "Simulation", index: int, fault):
         self.sim = sim
@@ -70,19 +75,21 @@ class _Node:
         self.validator = Validator(
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
             round_timeout=cfg.effective_round_timeout,
-            broadcast=self._broadcast,
+            broadcast=self._send if fault is None else self._send_faulty,
             set_timer=sim.scheduler.schedule, build_block=self._build,
             on_commit=self._committed, genesis=sim.genesis)
 
     # environment hooks -------------------------------------------------
 
-    def _broadcast(self, msg: ConsensusMessage) -> None:
-        sends = ((msg, None),) if self.fault is None else self.fault(self, msg)
-        for out, recipients in sends:
-            if out.type is PRE_PREPARE:
-                self.sim.note_proposal(out)
-            self.sim.network.broadcast(self.index, out, wire_size(out),
-                                       recipients)
+    def _send(self, msg: ConsensusMessage, recipients=None) -> None:
+        if msg.type is PRE_PREPARE:
+            self.sim.note_proposal(msg)
+        self.sim.network.broadcast(self.index, msg, wire_size(msg),
+                                   recipients)
+
+    def _send_faulty(self, msg: ConsensusMessage) -> None:
+        for out, recipients in self.fault(self, msg):
+            self._send(out, recipients)
 
     def _build(self, height: int, round_: int, period_start: float) -> Block:
         stuck = self.mempool.stuck_head(self.sim.config.gas_limit)
@@ -114,12 +121,10 @@ class _Node:
     # inbound -----------------------------------------------------------
 
     def _admit(self, tx: Transaction) -> None:
-        """A client transaction; the network hands consensus messages
-        straight to validator.handle."""
-        if self.sim.config.reject_invalid_at_mempool \
-                and self.ledger.validate(tx) is not None:
-            return
-        self.mempool.submit(tx)
+        """A client transaction under strict admission: it enters the
+        mempool only if this replica's ledger would apply it."""
+        if self.ledger.validate(tx) is None:
+            self.mempool.submit(tx)
 
 
 # A fault kind is one rule: it maps a consensus message the node would
@@ -171,7 +176,9 @@ class Simulation:
             if kind == SILENT:
                 self.network.add_node(i)   # drops everything sent to it
             else:
-                self.network.add_node(i, node.validator.handle, node._admit)
+                admit = node._admit if config.reject_invalid_at_mempool \
+                    else node.mempool.submit
+                self.network.add_node(i, node.validator.handle, admit)
                 self._validators.append(node.validator)
 
         # height -> (highest proposed round, first broadcast of that round)

@@ -131,6 +131,16 @@ def _text(value) -> str:
     return value
 
 
+def is_utf8(text: str) -> bool:
+    """False for text with lone surrogates: Python's stand-ins for the
+    bytes of an argument that were not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _append_line(path: Path, line: str) -> None:
     with open(path, "a") as journal:
         journal.write(line + "\n")
@@ -358,7 +368,9 @@ class Frontend:
     def verify(self) -> list[str]:
         """One line per problem: a blob that cannot be read or no longer
         hashes to its id, an id that only one of store and ledger holds,
-        or a torn last line of the ledger journal.
+        a ledger entry whose description is not UTF-8 text (an older
+        version journaled one from an undecodable argument), or a torn
+        last line of the ledger journal.
 
         Each stored file is read once, and exactly the bytes read are
         hashed, as on acquisition. The lines come in that order of kinds,
@@ -379,6 +391,9 @@ class Frontend:
                 unlisted.append(
                     f"{eid.hex} is in the store but not on the ledger")
         problems = damaged + unlisted + missing
+        problems += [f"{eid.hex} has a description that is not UTF-8 text"
+                     for eid in sorted(listed, key=_id_bytes)
+                     if not is_utf8(self.client.get_entry(eid).description)]
         if self.client.torn:
             problems.append(f"{self.client.journal} ends in a torn line of "
                             f"{len(self.client.torn)} bytes, not applied")

@@ -195,21 +195,28 @@ GOLDEN_RUNS = {
                      "--byzantine", "5:silent"],
                     "76c896e80b6187472d2640a8a717a794f0807be7c37bdb07eb22b222648384c0",
                     "48a87786fd0369cfa97884a2392eebf8838158b895efc9a51616fa7a600786fd"),
+    "reject-invalid": (["--config", "{strict_config}", "--workload", "rate:3"],
+                       "526e9ab185cac3d8ae19a1c753bb2ee9336eb720655d4699dfd8675589688432",
+                       "4be85b5e8a140dbfdbbcdc8fbb9a90d268ccce3cd3d43666954e0281bc22280b"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
+STRICT_CONFIG = "seed = 11\nperiods = 30\nreject_invalid_at_mempool = true\n"
 
 
 class TestGoldenOutput:
-    """`sim run` output pinned byte for byte for six seeded scenarios.
+    """`sim run` output pinned byte for byte for seven seeded scenarios.
 
     The delay-jitter, equivocate-jitter and silent-wide scenarios set
     base_delay and jitter through a config file, so every client
     transaction draws link jitter on its way to the mempools, and in
     equivocate-jitter the two halves of each conflicting proposal draw it
     too. silent-wide runs 16 validators, one of them silent, so each
-    height it should propose goes through a round change under jitter. A change to the
-    engine that keeps its results must keep these hashes. A change that
-    declares a change of behaviour records them again.
+    height it should propose goes through a round change under jitter.
+    reject-invalid is the one run with strict admission: its transfers
+    name evidence no ledger holds, so every mempool drops them and each
+    block is empty. A change to the engine that keeps its results must
+    keep these hashes. A change that declares a change of behaviour
+    records them again.
     """
 
     @pytest.mark.parametrize("scenario", sorted(GOLDEN_RUNS))
@@ -217,9 +224,13 @@ class TestGoldenOutput:
         flags, csv_sha, err_sha = GOLDEN_RUNS[scenario]
         config = tmp_path / "net.cfg"
         config.write_text(GOLDEN_CONFIG)
+        strict_config = tmp_path / "strict.cfg"
+        strict_config.write_text(STRICT_CONFIG)
         out = tmp_path / "m.csv"
         code, _, err = _run(capsys, "sim", "run", "--out", str(out),
-                            *(f.format(config=config) for f in flags))
+                            *(f.format(config=config,
+                                       strict_config=strict_config)
+                              for f in flags))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
@@ -702,6 +713,30 @@ class TestLedgerStore:
         assert err.startswith("config error: bad ") and "\\udcff" in err
         assert err.count("\n") == 1
         assert not store.exists()
+
+    def test_journaled_surrogate_description_is_escaped_and_verified(
+            self, tmp_path, capsys):
+        """A description with a lone surrogate, as an older version
+        journaled it from an undecodable --desc: show prints it with a
+        backslash escape and exits 0, and verify lists the entry."""
+        store, blob = tmp_path / "s", tmp_path / "e.bin"
+        blob.write_bytes(b"evidence")
+        code, out, _ = _run(capsys, "ledger", "--store", str(store), "create",
+                            "--file", str(blob), "--as", "alice",
+                            "--desc", "cafe")
+        assert code == 0
+        eid = out.strip()
+        journal = store / LEDGER
+        record = json.loads(journal.read_text())
+        record["description"] = "caf\udcff"
+        journal.write_text(json.dumps(record) + "\n")
+        assert "caf\\udcff" in journal.read_text()
+        code, out, err = _run(capsys, "ledger", "--store", str(store),
+                              "show", eid)
+        assert (code, err) == (0, "")
+        assert "description: caf\\udcff\n" in out
+        assert _run(capsys, "ledger", "--store", str(store), "verify") == (
+            1, f"{eid} has a description that is not UTF-8 text\n", "")
 
     def test_readers_share_the_lock_and_a_writer_waits(self, tmp_path,
                                                        capsys):

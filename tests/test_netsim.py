@@ -173,22 +173,60 @@ class TestNetwork:
             net.broadcast(0, "x", 10, (99,))
 
     @pytest.mark.parametrize("jitter", [0.0, 0.005])
-    def test_deliveries_before_an_unknown_recipient_stay_scheduled(self,
-                                                                   jitter):
-        """The deliveries a broadcast scheduled before it met an unknown
-        recipient still fire, and later events come after them."""
+    def test_unknown_id_raises_before_anything_is_scheduled(self, jitter):
+        """An unknown sender or recipient, wherever it stands, raises
+        UnknownNode and leaves the heap, the seqs and the rng as they
+        were; later broadcasts are delivered as if it never happened."""
         sched = Scheduler()
         net = Network(sched, LinkModel(1_000_000), jitter=jitter)
         log = []
         for i in range(3):
             net.add_node(i, lambda m, i=i: log.append((m, i)))
-        with pytest.raises(UnknownNode):
-            net.broadcast(0, "m", 0, [1, 2, 99, 0])
+        net.broadcast(1, "warm", 100)   # cached plans, pending events
+        for size in (0, 100):
+            for sender, recipients in [(0, [1, 2, 99, 0]), (0, (99,)),
+                                       (99, None), (99, [1]),
+                                       (CLIENT, [1, 99])]:
+                state = (sched.pending(), sched._seq, net.rng.getstate())
+                with pytest.raises(UnknownNode):
+                    net.broadcast(sender, "m", size, recipients)
+                assert (sched.pending(), sched._seq,
+                        net.rng.getstate()) == state
         net.broadcast(0, "n", 0, [2, 1])
         sched.run_until(1.0)
-        assert sorted(log) == [("m", 1), ("m", 2), ("n", 1), ("n", 2)]
-        if not jitter:  # everything is due at 0, in the order scheduled
-            assert log == [("m", 1), ("m", 2), ("n", 2), ("n", 1)]
+        assert sorted(log) == [("n", 1), ("n", 2), ("warm", 0), ("warm", 1),
+                               ("warm", 2)]
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.005])
+    def test_repeated_recipient_raises_before_anything_is_scheduled(
+            self, jitter):
+        sched, net, _ = _net(jitter=jitter)
+        for recipients in ([1, 2, 1], [0, 0]):
+            with pytest.raises(ValueError):
+                net.broadcast(0, "m", 100, recipients)
+            assert (sched.pending(), sched._seq) == (0, 0)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.005])
+    def test_plans_follow_nodes_added_after_a_broadcast(self, jitter):
+        """A node added after a broadcast gets the next one, client
+        traffic included; a node registered again without callbacks stops
+        getting them."""
+        sched, net, inboxes = _net(3, jitter=jitter)
+        net.broadcast(0, "a", 100)
+        net.inject("t", 100)
+        net.broadcast(2, "x", 100, [0, 1])
+        inboxes[3] = []
+        net.add_node(3, lambda m: inboxes[3].append((sched.now, m)))
+        net.add_node(1)
+        net.broadcast(0, "b", 100)
+        net.inject("u", 100)
+        net.broadcast(2, "y", 100, [0, 1])
+        sched.run_until(1.0)
+        got = {i: sorted(m for _, m in inbox) for i, inbox in inboxes.items()}
+        assert got == {0: ["a", "b", "t", "u", "x", "y"],
+                       1: ["a", "t", "x"],
+                       2: ["a", "b", "t", "u"],
+                       3: ["b", "u"]}
 
     def test_inject_is_a_broadcast_from_client(self):
         def arrivals(send):

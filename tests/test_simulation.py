@@ -353,6 +353,37 @@ class TestFaultRules:
             assert simulation._silent(sim.nodes[3], msg) == ()
 
 
+class TestHonestSendPath:
+    """Honest nodes send without running a fault rule; a rule that passes
+    each message through unchanged must give the same run."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.02])
+    def test_pass_through_rule_matches_the_all_honest_run(self, jitter,
+                                                          monkeypatch):
+        cfg = _cfg(periods=12, validators=4, base_delay=0.05, jitter=jitter,
+                   seed=2)
+        wl = _lifecycle(cfg.periods, 3, seed=2)
+        honest = run_experiment(cfg, wl)
+        relayed = []
+
+        def pass_through(node, msg):
+            relayed.append(msg.type)
+            return ((msg, None),)
+
+        monkeypatch.setattr(simulation, "_FAULTS",
+                            {**simulation._FAULTS, EQUIVOCATE: pass_through})
+        labelled = dataclasses.replace(cfg, byzantine=((1, EQUIVOCATE),))
+        result = run_experiment(labelled, wl)
+        assert set(relayed) == set(MsgType)
+        # the label names validator 1 in the config and takes it out of
+        # the honest list; nothing else may tell the runs apart
+        assert (result.config, result.honest) == (labelled, [0, 2, 3])
+        result = dataclasses.replace(result, config=cfg, honest=[0, 1, 2, 3])
+        for field in dataclasses.fields(result):
+            assert repr(getattr(result, field.name)) == \
+                repr(getattr(honest, field.name)), field.name
+
+
 class TestCommitLatency:
     def test_measured_from_first_proposal_of_highest_round(self):
         sim = Simulation(_cfg(), [])
