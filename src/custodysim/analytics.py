@@ -33,10 +33,6 @@ class AnalyticsError(Exception):
     pass
 
 
-class InvalidMaxSize(AnalyticsError):
-    pass
-
-
 class InvalidBounds(AnalyticsError):
     pass
 
@@ -271,23 +267,6 @@ def dominance_check(catalog: Sequence[TxType]) -> Optional[TxType]:
     bytes or gaining gas, so optimal blocks contain only K.
     """
     return Catalog(catalog).dominant
-
-
-def gas_limit_range_for_max_size(max_size: int,
-                                 catalog: Sequence[TxType]) -> tuple:
-    """Gas-limit interval realizing a target maximum block size.
-
-    The target must lie on the lattice header + k * size(dominant).
-    """
-    dominant = dominance_check(catalog)
-    if dominant is None:
-        raise AnalyticsError("no dominant transaction type")
-    payload = max_size - HEADER_SIZE
-    if payload < 0 or payload % dominant.size != 0:
-        raise InvalidMaxSize(
-            f"{max_size} is not header + k*{dominant.size} for integer k")
-    k = payload // dominant.size
-    return k * dominant.gas, k * dominant.gas + dominant.gas - 1
 
 
 # -- chain growth ------------------------------------------------------

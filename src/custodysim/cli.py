@@ -33,7 +33,10 @@ metrics CSV columns:
   mean_lc               measured consensus latency (s) of the period's block
   committed_block_size  bytes of the block committed for the period
   chain_size_bytes      cumulative chain size incl. genesis
-  mempool_depth         pending transactions at the period boundary
+  mempool_depth         reference replica's mempool size after every event
+                        due at the period boundary, before the next height
+                        starts; txs in flight to it or dropped by strict
+                        admission are not counted
 """
 
 

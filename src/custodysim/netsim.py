@@ -1,22 +1,10 @@
 """Deterministic discrete-event engine: virtual clock, one link, broadcast.
 
 Time is purely simulated. Given the same configuration and seed, every
-run fires the same sequence of events at the same times. A delivery
-calls one of the recipient's callbacks with the message, deliver for
-validator traffic and admit for client traffic; no closure is built per
-delivery, and a node that drops everything gets no event. With jitter,
-each delivery is one entry that the broadcast pushes straight onto the
-scheduler's heap. On a jitter-free network, a broadcast is at most two
-events: the self-delivery now, and one fan-out that delivers to every
-other recipient, in order, when the link's delay has passed. Client
-traffic enters the network as sender ``CLIENT`` and takes the same path
-as validator traffic, up to the callback it reaches. Which callbacks a
-broadcast reaches, and in what order, is worked out once per sender and
-recipient list, the first time they are used, and kept as a delivery
-plan until a node is added; a broadcast that names an unknown node
-raises while its plan is built, before anything is scheduled. Work known
-in advance, such as a workload's injects, is fed to the scheduler and
-enters the heap only when due.
+run fires the same sequence of events at the same times. ``Scheduler``
+orders the events, and ``Network`` turns each broadcast into deliveries.
+A delivery calls one callback of its recipient with the message, so no
+closure is built per delivery.
 """
 from __future__ import annotations
 
@@ -128,15 +116,13 @@ class Network:
     """Broadcast fabric over one link model, the slowest channel, shared
     by every pair of nodes.
 
-    Self-delivery is immediate. Senders are node ids, or ``CLIENT`` for
-    traffic from outside the validator set.
-
-    Each node registers two callbacks: deliver, for messages from nodes,
-    and admit, for messages from ``CLIENT``. Who gets a broadcast, and
-    through which callback, is fixed once the nodes are added, so the
+    Senders are node ids, or ``CLIENT`` for traffic from outside the
+    validator set, which takes the same path up to the callback it
+    reaches. Each node registers two callbacks: deliver, for messages from
+    nodes, and admit, for messages from ``CLIENT``. Who gets a broadcast,
+    and through which callback, is fixed once the nodes are added, so the
     network builds one delivery plan per ``(sender, recipients)`` the
-    first time it is broadcast, and reuses it until ``add_node`` drops
-    every plan.
+    first time it is broadcast (see ``_plan``), and reuses it.
     """
 
     def __init__(self, scheduler: Scheduler, default_link: LinkModel,
@@ -188,18 +174,15 @@ class Network:
 
     def broadcast(self, sender: int, message, wire_size: int,
                   recipients: Optional[Iterable[int]] = None) -> None:
-        """Deliver ``message`` to each recipient after the link's delay.
+        """Deliver ``message`` to the sender at once, when it is a
+        recipient, and to every other recipient after the link's delay.
 
         ``recipients`` defaults to every node, in the order they were
-        added, and otherwise names distinct nodes. Each gets the message
-        through its admit callback when the sender is ``CLIENT``, else
-        through its deliver callback. The first broadcast of a ``(sender,
-        recipients)`` builds its plan (see ``_plan``); an unknown sender
-        or recipient raises UnknownNode then, before anything is
-        scheduled. The link's delay is computed once per call. With
-        jitter, each non-self delivery adds ``jitter * rng.random()``, in
-        recipient order; that is the value ``rng.uniform(0.0, jitter)``
-        returns.
+        added. The plan is read, or built, before anything is scheduled,
+        so a broadcast that ``_plan`` rejects schedules nothing. The
+        link's delay is computed once per call. With jitter, each non-self
+        delivery adds ``jitter * rng.random()``, in recipient order; that
+        is the value ``rng.uniform(0.0, jitter)`` returns.
 
         Without jitter, every non-self delivery fires at the same time,
         ``now`` plus the link's delay, so one fan-out event delivers them

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from . import blocks as blk
+from .analytics import block_inclusion_latency
 from .blocks import Block, Mempool, block_digest, block_size, build_block
 # ConfigError is re-exported: callers import it with ExperimentConfig
 from .config import (EQUIVOCATE, MAX_DRAIN_PERIODS, SILENT, ConfigError,
@@ -25,6 +25,11 @@ from .netsim import LinkModel, Network, Scheduler
 
 @dataclass
 class MetricsRow:
+    """One period's metrics. ``mempool_depth`` is the reference replica's
+    mempool size after every event due at the period's closing boundary,
+    before the next height starts; it leaves out transactions still in
+    flight to that replica and any that strict admission dropped."""
+
     period_index: int
     gas_rate: int
     mean_lb: float
@@ -190,7 +195,7 @@ class Simulation:
         self._size_by_period: dict[int, int] = {}
         self._lc_by_period: dict[int, float] = {}
         self._stuck: list = []
-        self._periods_elapsed = 0
+        self._depths: list[int] = []  # reference mempool at each boundary
 
     # hooks from nodes --------------------------------------------------
 
@@ -231,11 +236,10 @@ class Simulation:
         max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)
         while True:
             self.scheduler.run_until(boundary)
-            self._periods_elapsed = period + 1
+            self._depths.append(len(self.nodes[self.reference].mempool))
             if period + 1 >= max_periods:
                 break
-            if period + 1 >= cfg.periods \
-                    and len(self.nodes[self.reference].mempool) == 0:
+            if period + 1 >= cfg.periods and self._depths[-1] == 0:
                 break
             # start the next height on every idle validator; a validator
             # still mid-consensus skips this boundary (round changes run on)
@@ -254,7 +258,7 @@ class Simulation:
     def _result(self) -> SimResult:
         cfg = self.config
         T = cfg.period
-        periods = self._periods_elapsed
+        periods = len(self._depths)
         gas_by_period = [0] * periods
         lb_by_period: list[list[float]] = [[] for _ in range(periods)]
         for tx in self.workload:
@@ -262,11 +266,11 @@ class Simulation:
             gas_by_period[p] += tx.gas
         for issue_time, block_ts in self._tx_records.values():
             p = min(int(issue_time // T), periods - 1)
-            lb_by_period[p].append(block_ts + T - issue_time)
+            lb_by_period[p].append(
+                block_inclusion_latency(issue_time, block_ts, T))
 
         rows = []
         chain_size = blk.GENESIS_SIZE
-        depth_series = self._mempool_depth_series(periods)
         for p in range(periods):
             lbs = lb_by_period[p]
             size = self._size_by_period.get(p, 0)
@@ -279,7 +283,7 @@ class Simulation:
                 mean_lc=self._lc_by_period.get(p, math.nan),
                 committed_block_size=size,
                 chain_size_bytes=chain_size,
-                mempool_depth=depth_series[p]))
+                mempool_depth=self._depths[p]))
 
         digests = {i: self.nodes[i].validator.head_digest.hex()
                    for i in self.nodes}
@@ -290,23 +294,6 @@ class Simulation:
             tx_records=dict(self._tx_records), receipts=dict(self._receipts),
             commit_latencies=list(self._commit_latencies),
             periods_elapsed=periods, stuck_transactions=list(self._stuck))
-
-    def _mempool_depth_series(self, periods: int) -> list:
-        # reconstructed after the fact: txs issued minus txs included,
-        # evaluated at each period boundary. A tx counts at t while
-        # issue_time <= t < block_ts + T (roughly the commit boundary), so
-        # depth(t) = #(issue_time <= t) - #(max(issue_time, block_ts + T) <= t);
-        # the max covers a tx issued after block_ts + T, which a round
-        # change allows.
-        T = self.config.period
-        issued = [tx.issue_time for tx in self.workload]  # sorted in __init__
-        left = sorted(max(tx.issue_time, self._tx_records[tx.uid][1] + T)
-                      for tx in self.workload if tx.uid in self._tx_records)
-        series = []
-        for p in range(periods):
-            t = (p + 1) * T
-            series.append(bisect_right(issued, t) - bisect_right(left, t))
-        return series
 
 
 def run_experiment(config: ExperimentConfig, workload: list) -> SimResult:

@@ -9,13 +9,12 @@ from custodysim import analytics
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
                                   Catalog, ChainParams,
                                   GasRateSummary, InvalidBounds,
-                                  InvalidMaxSize, MIB, TxType, YEAR_SECONDS,
+                                  MIB, TxType, YEAR_SECONDS,
                                   annual_growth_table,
                                   annual_header_overhead_sweep,
                                   block_inclusion_latency, consensus_latency,
                                   create_type, dominance_check,
-                                  gas_limit_range_for_max_size, gas_rate,
-                                  growth_rate, header_overhead,
+                                  gas_rate, growth_rate, header_overhead,
                                   latency_gas_bound,
                                   max_block_size_closed_form,
                                   max_block_size_ukp, plan_gas_limit,
@@ -323,27 +322,6 @@ class TestDominance:
         assert dominance_check(cat) is None
         with pytest.raises(AnalyticsError):
             max_block_size_closed_form(1000, cat)
-
-
-class TestGasLimitRange:
-    @pytest.mark.parametrize("smax,expected", [
-        (2257, (161004, 241505)),
-        (1909, (0, 80501)),
-    ])
-    def test_lattice_points(self, catalog, smax, expected):
-        assert gas_limit_range_for_max_size(smax, catalog) == expected
-
-    def test_off_lattice_rejected(self, catalog):
-        with pytest.raises(InvalidMaxSize):
-            gas_limit_range_for_max_size(2000, catalog)
-
-    @given(st.integers(min_value=0, max_value=10 ** 7))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_contains_g(self, g):
-        catalog = standard_catalog()
-        smax = max_block_size_closed_form(g, catalog)
-        lo, hi = gas_limit_range_for_max_size(smax, catalog)
-        assert lo <= g <= hi
 
 
 class TestHeaderOverhead:

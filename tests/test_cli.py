@@ -175,28 +175,28 @@ class TestConfigSurface:
 # scenario -> (sim run flags, SHA-256 of the --out CSV, SHA-256 of stderr)
 GOLDEN_RUNS = {
     "no-fault": (["--seed", "11", "--periods", "30", "--workload", "rate:3"],
-                 "85599ea81a569b91c6411d3026293f74e4411c7704fd939318b3fc514a7cd3f4",
+                 "197cec5f679a4d85257c15b9c147440499ad21ca701f118b7c9f8d0f57ac991f",
                  "2ae4ef0045b92174981c5759fc572651b64000d059d2af29d379313835fedec9"),
     "silent": (["--seed", "11", "--periods", "30", "--byzantine", "3:silent"],
-               "847c3d29ab2748e2ac7d1c50642ca96ecb726d993a214a4fffbe900639a9a97d",
+               "cc4e6a03371ecb08c5642c90b056365c755e79bd3769189d5bdc574110c3b1e2",
                "1276154b0ad4f1cca35ef870b256b779e2cbe4cbc0ea8bf8fd4f237c097705a7"),
     "equivocate": (["--seed", "11", "--periods", "30",
                     "--byzantine", "1:equivocate"],
-                   "64d44181d62323662a20bace475564bb0d3c77f6db13812b1e43335bcab9a622",
+                   "2e3250c82aaa4cfdf3ece5a5e5555066bafe9f84e2fc1baffab2fcc3989862f7",
                    "013a79ce6248736890ac1f3b4df4730f1246d421e333715b2193fc7a8a32519f"),
     "delay-jitter": (["--config", "{config}", "--workload", "rate:4"],
-                     "ac413a8ecc7f1d9ffbf2f42e6b26a0f4971b9b63ef6404624c25afa016f3ead6",
+                     "3a11e49f83a36d6a395a7104a5b088d4149fa8e5f5e738a1626d81bd779393a6",
                      "d86bf37c6b46af65a3f30c496ed6cb5b24caeed373f088988c5dad0dbdc68b2e"),
     "equivocate-jitter": (["--config", "{config}", "--validators", "7",
                            "--byzantine", "3:equivocate"],
-                          "57878650b966722a93f36a112989b7b40eef553800645230869dabc86ed2cadf",
+                          "93a6f59b5c889cdc1ef9ad39a11df4afb6ac78cd6361b74ae72b0e0b16e51b4b",
                           "dad9c04f7589bee94a63233200d3e2869a856d75d6472bcf5aa2d5e35ec18e2c"),
     "silent-wide": (["--config", "{config}", "--validators", "16",
                      "--byzantine", "5:silent"],
-                    "76c896e80b6187472d2640a8a717a794f0807be7c37bdb07eb22b222648384c0",
+                    "6d540ee0aa8dbac798273b6bc2ce01ea696f6ce6236857ec2e16785978451800",
                     "48a87786fd0369cfa97884a2392eebf8838158b895efc9a51616fa7a600786fd"),
     "reject-invalid": (["--config", "{strict_config}", "--workload", "rate:3"],
-                       "526e9ab185cac3d8ae19a1c753bb2ee9336eb720655d4699dfd8675589688432",
+                       "797096d4f20b4fff7648ed93f1baeefebed8e08420674be49111feb84e8242bf",
                        "4be85b5e8a140dbfdbbcdc8fbb9a90d268ccce3cd3d43666954e0281bc22280b"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"

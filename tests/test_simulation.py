@@ -11,6 +11,7 @@ from custodysim.consensus import ConsensusMessage, MsgType, Validator
 from custodysim.config import parse_byzantine
 from custodysim.ledger import (Address, EvidenceId, LedgerState, TxKind,
                                create_tx, remove_tx, transfer_tx)
+from custodysim.netsim import LinkModel
 from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
                                    ExperimentConfig, Simulation,
                                    run_experiment)
@@ -197,40 +198,87 @@ class TestOverload:
         assert 1 not in result.tx_records
 
 
-def _depth_by_scan(sim, periods):
-    """The periods x txs count the sweep in _mempool_depth_series replaces."""
-    T = sim.config.period
-    included_at = {uid: block_ts + T
-                   for uid, (_, block_ts) in sim._tx_records.items()}
-    return [sum(1 for tx in sim.workload
-                if tx.issue_time <= (p + 1) * T
-                and included_at.get(tx.uid, math.inf) > (p + 1) * T)
-            for p in range(periods)]
+def _depth_by_scan(sim, periods, committed_at):
+    """Arrivals at the reference replica minus its commits, at each period
+    boundary, from the workload and the commit times alone; no mempool is
+    read. On a jitter-free network a client transaction reaches every
+    mempool one link delay after it is issued."""
+    cfg = sim.config
+    link = LinkModel(cfg.bandwidth, cfg.base_delay)
+    arrivals = [tx.issue_time + link.transmission_delay(tx.size)
+                for tx in sim.workload]
+    depths = []
+    for p in range(periods):
+        boundary = (p + 1) * cfg.period
+        depths.append(sum(t <= boundary for t in arrivals)
+                      - sum(t <= boundary for t in committed_at.values()))
+    return depths
 
 
 class TestMempoolDepth:
-    def _check(self, cfg, wl):
+    """mempool_depth is the reference replica's pending count at each
+    boundary; an oracle that reads no mempool checks it."""
+
+    def _check(self, monkeypatch, cfg, wl):
+        assert cfg.jitter == 0
+        committed_at = {}   # uid -> when the reference replica committed it
+        real_note_commit = Simulation.note_commit
+
+        def spy(sim, block, receipts, now):
+            for tx in block.transactions:
+                committed_at.setdefault(tx.uid, now)
+            real_note_commit(sim, block, receipts, now)
+
+        monkeypatch.setattr(Simulation, "note_commit", spy)
         sim = Simulation(cfg, wl)
         result = sim.run()
         depths = [r.mempool_depth for r in result.rows]
-        assert depths == _depth_by_scan(sim, result.periods_elapsed)
-        return sim, depths
+        assert depths == _depth_by_scan(sim, result.periods_elapsed,
+                                        committed_at)
+        return depths
 
-    def test_backlog_matches_scan(self):
+    def test_backlog_matches_scan(self, monkeypatch):
         cfg = _cfg(periods=30)
         wl = constant_rate_workload(RateSpec(12, 30), seed=2, period=T)
-        _, depths = self._check(cfg, wl)
+        depths = self._check(monkeypatch, cfg, wl)
         assert max(depths) > 20
 
-    def test_round_change_matches_scan(self):
+    def test_round_change_matches_scan(self, monkeypatch):
         # a silent proposer with a short timeout: the next proposer builds
-        # after block_ts + T, so some txs are issued after that boundary
+        # mid-period, so its block also takes some of that period's txs
         cfg = _cfg(periods=20, byzantine=((1, SILENT),),
                    round_timeout=0.5 * T)
         wl = constant_rate_workload(RateSpec(4, 20), seed=8, period=T)
-        sim, _ = self._check(cfg, wl)
-        assert any(issue > block_ts + T
-                   for issue, block_ts in sim._tx_records.values())
+        depths = self._check(monkeypatch, cfg, wl)
+        assert min(depths[:-1]) < 4
+
+    def test_equivocation_matches_scan(self, monkeypatch):
+        cfg = _cfg(periods=20, byzantine=((1, EQUIVOCATE),))
+        wl = constant_rate_workload(RateSpec(3, 20), seed=11, period=T)
+        depths = self._check(monkeypatch, cfg, wl)
+        assert max(depths) > 3
+
+    def test_constant_rate_leaves_one_period_pending(self, monkeypatch):
+        # the block started at a boundary holds the transactions of the
+        # period that boundary closes and commits after it, so each
+        # boundary sees one period's transactions pending
+        cfg = _cfg(periods=8)
+        wl = constant_rate_workload(RateSpec(3, 8), seed=0, period=T)
+        assert self._check(monkeypatch, cfg, wl) == [3] * 8 + [0]
+
+    def test_drained_ramp_matches_scan(self, monkeypatch):
+        cfg = _cfg(periods=12)
+        wl = ramp_workload(RampSpec(0, 1_600_000, cfg.periods), 0, T)
+        depths = self._check(monkeypatch, cfg, wl)
+        assert len(depths) > cfg.periods and depths[-1] == 0
+
+    def test_strict_admission_leaves_every_mempool_empty(self):
+        # transfers of evidence no ledger holds: every replica drops them
+        cfg = _cfg(periods=8, reject_invalid_at_mempool=True)
+        wl = constant_rate_workload(RateSpec(3, 8), seed=0, period=T)
+        result = run_experiment(cfg, wl)
+        assert result.tx_records == {}
+        assert [r.mempool_depth for r in result.rows] == [0] * 8
 
 
 class TestDigestCost:
