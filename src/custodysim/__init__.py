@@ -1,16 +1,6 @@
-"""Deterministic custody-ledger blockchain simulator and analytics."""
+"""Deterministic custody-ledger blockchain simulator and analytics.
 
-from .ledger import (Address, EvidenceEntry, EvidenceId, LedgerState, Receipt,
-                     Transaction, TxKind, ZERO_ADDRESS, ZERO_ID, create_tx,
-                     remove_tx, transfer_tx, tx_gas, tx_size)
-from .blocks import Block, Mempool, block_digest, block_size, build_block
-from .consensus import (ConsensusMessage, MsgType, Validator, quorum_size,
-                        select_proposer)
-from .netsim import LinkModel, Network, Scheduler
-from .simulation import ExperimentConfig, SimResult, Simulation, run_experiment
-from .store import EvidenceStore, Frontend, LocalLedgerClient, generate_id
-from .analytics import (ChainParams, TxType, consensus_latency,
-                        max_block_size_closed_form, max_block_size_ukp,
-                        plan_gas_limit, standard_catalog)
+Import submodules by name (``from custodysim import simulation``): the
+root loads none of them, so each CLI command loads only what it runs."""
 
 __version__ = "0.1.0"

@@ -6,6 +6,9 @@ rate, and the lower/upper-bound procedure for choosing the block gas
 limit. A `Catalog` of transaction types holds what block-size queries on
 it share: its dominant type and a knapsack table, filled once up to the
 window from which it repeats, that answers every gas limit.
+
+Only `Catalog`'s table code imports numpy, inside its functions, so that
+`simulation` and the CLI can import this module without loading numpy.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ledger
 from .blocks import HEADER_SIZE
@@ -108,6 +108,7 @@ class Catalog(tuple):
         entries, in one gather-add-min over types x width, and stops at
         the end of the window, so it fills O(w + max_size) entries.
         """
+        import numpy as np
         pad, b = self.max_size, self.best
         sizes = np.array([t.size for t in self], dtype=np.int64)
         gas = np.array([t.gas for t in self], dtype=np.int64)
@@ -122,7 +123,7 @@ class Catalog(tuple):
             if pad + lo + width > len(table):
                 table = np.concatenate(
                     (table, np.full_like(table, _UNREACHABLE)))
-                window = sliding_window_view(table, width)
+                window = np.lib.stride_tricks.sliding_window_view(table, width)
             if lo <= pad + width:   # keep or drop types sized below lo
                 use = np.flatnonzero((sizes < lo + width)
                                      & (table[pad + sizes] >= gas))
@@ -147,18 +148,20 @@ class Catalog(tuple):
         1. So the optimum of a capacity below c0 + gas_b is the last v
         with least[v] <= capacity.
         """
+        import numpy as np
         b = self.best
         base = ((self._periodic[0] + b.size) // b.size + 1) * b.gas
         end = int((base + b.gas - 1) * (b.size / b.gas)) + self.max_size + 1
         least = np.minimum.accumulate(self.min_gas(end)[::-1])[::-1]
         return base, least.tolist()
 
-    def min_gas(self, vmax: int) -> np.ndarray:
+    def min_gas(self, vmax: int) -> numpy.ndarray:
         """Read-only array of the least gas that fills exactly v bytes, for
         v = 0..vmax, and _UNREACHABLE where no types sum to v bytes. Past
         the table, entry v is min_gas[v - k * size_b] + k * gas_b with v -
         k * size_b in w..w + size_b - 1, clamped at _UNREACHABLE.
         """
+        import numpy as np
         start, table = self._periodic
         if vmax < len(table):
             return table[:vmax + 1]

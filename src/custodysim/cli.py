@@ -14,13 +14,11 @@ import sys
 from concurrent import futures
 from pathlib import Path
 
-from . import analytics, workload
+from . import analytics
 from .analytics import MIB, AnalyticsError, standard_catalog
 from .config import (FAULT_KINDS, ChainParams, ConfigError, ExperimentConfig,
                      finite_float, parse_value, read_config_file)
 from .ledger import Address, EvidenceId, LedgerError
-from .simulation import run_experiment
-from .store import StoreError, is_utf8, open_custody
 
 METRICS_COLUMNS = ("period_index", "gas_rate", "mean_lb", "max_lb", "mean_lc",
                    "committed_block_size", "chain_size_bytes", "mempool_depth")
@@ -191,6 +189,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _workload_from_spec(spec: str, config: ExperimentConfig) -> list:
+    from . import workload
     try:
         if spec.startswith("rate:"):
             return workload.constant_rate_workload(
@@ -227,9 +226,14 @@ def _write_metrics(rows, path) -> None:
                              row.chain_size_bytes, row.mempool_depth])
 
 
+def _run(config: ExperimentConfig, spec: str):
+    """One experiment on a workload spec; also the sweep's pool task."""
+    from .simulation import run_experiment
+    return run_experiment(config, _workload_from_spec(spec, config))
+
+
 def cmd_sim_run(args) -> int:
-    config = _config_from_args(args)
-    result = run_experiment(config, _workload_from_spec(args.workload, config))
+    result = _run(_config_from_args(args), args.workload)
     _write_metrics(result.rows, args.out)
     print(f"periods elapsed: {result.periods_elapsed}", file=sys.stderr)
     for idx in sorted(result.chain_digests):
@@ -249,9 +253,10 @@ def cmd_sim_sweep(args) -> int:
     texts = [v.strip() for v in values.split(",")]
     configs = [ExperimentConfig(**{**vars(base), key: parse_value(key, text)})
                for text in texts]
+    from . import simulation, workload  # noqa: F401  (forked workers inherit them)
     with futures.ProcessPoolExecutor(
             max_workers=min(len(configs), os.cpu_count() or 1)) as pool:
-        results = list(pool.map(_sweep_task, configs,
+        results = list(pool.map(_run, configs,
                                 [args.workload] * len(configs)))
 
     for text, result in zip(texts, results):
@@ -265,10 +270,6 @@ def cmd_sim_sweep(args) -> int:
               f"min_height={min(result.chain_lengths[i] for i in result.honest)} "
               f"metrics={where}")
     return 0
-
-
-def _sweep_task(cfg: ExperimentConfig, spec: str):
-    return run_experiment(cfg, _workload_from_spec(spec, cfg))
 
 
 # -- analyze commands --------------------------------------------------
@@ -340,6 +341,7 @@ def _utf8(text: str, what: str) -> str:
     """Refuse text that is not UTF-8: Python passes an argument's
     undecodable bytes as lone surrogates, which the ledger cannot hash or
     journal."""
+    from .store import is_utf8
     if not is_utf8(text):
         raise ConfigError(f"bad {what} {text!r}: not UTF-8")
     return text
@@ -365,6 +367,7 @@ def _evidence_id(text: str) -> EvidenceId:
 
 
 def cmd_ledger_create(args) -> int:
+    from .store import open_custody
     creator = _identity(args.identity)
     description = _utf8(args.desc, "description")
     blob = args.file.read_bytes()
@@ -375,6 +378,7 @@ def cmd_ledger_create(args) -> int:
 
 
 def cmd_ledger_transfer(args) -> int:
+    from .store import open_custody
     evidence_id = _evidence_id(args.id)
     owner, new_owner = _identity(args.identity), _identity(args.to)
     with open_custody(args.store) as frontend:
@@ -384,6 +388,7 @@ def cmd_ledger_transfer(args) -> int:
 
 
 def cmd_ledger_discard(args) -> int:
+    from .store import open_custody
     evidence_id = _evidence_id(args.id)
     requester = _identity(args.identity)
     with open_custody(args.store) as frontend:
@@ -393,6 +398,7 @@ def cmd_ledger_discard(args) -> int:
 
 
 def cmd_ledger_show(args) -> int:
+    from .store import open_custody
     evidence_id = _evidence_id(args.id)
     with open_custody(args.store, reconcile=False) as frontend:
         entry = frontend.client.get_entry(evidence_id)
@@ -410,6 +416,7 @@ def cmd_ledger_show(args) -> int:
 
 
 def cmd_ledger_acquire(args) -> int:
+    from .store import open_custody
     evidence_id = _evidence_id(args.id)
     requester = _identity(args.identity)
     with open_custody(args.store, reconcile=False) as frontend:
@@ -423,6 +430,7 @@ def cmd_ledger_acquire(args) -> int:
 
 
 def cmd_ledger_verify(args) -> int:
+    from .store import open_custody
     with open_custody(args.store, reconcile=False) as frontend:
         problems = frontend.verify()
     for problem in problems:
@@ -439,7 +447,9 @@ def main(argv=None) -> int:
         # every AnalyticsError the CLI can reach comes from a flag value
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (LedgerError, StoreError, OSError) as err:
+    # only a ledger command raises a StoreError, after it loaded the store
+    except (LedgerError, OSError, getattr(sys.modules.get(
+            f"{__package__}.store"), "StoreError", OSError)) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -94,7 +94,8 @@ class ExperimentConfig(ChainParams):
             raise ConfigError(
                 f"{len(self.byzantine)} faulty validators exceeds the "
                 f"tolerated f={f} for n={self.validators}")
-        # the simulated clock must stay finite up to the last timer
+        # the simulated clock must stay finite up to the last timer; a round
+        # timer is twice one that ran out during the run, so below 2 * horizon
         if not math.isfinite(self.effective_round_timeout):
             raise ConfigError(
                 f"the default round timeout 2 * {self.period} is not finite")
@@ -102,7 +103,7 @@ class ExperimentConfig(ChainParams):
             horizon = self.period * (self.periods + MAX_DRAIN_PERIODS + 2)
         except OverflowError:   # periods too large for a float
             horizon = math.inf
-        if not math.isfinite(horizon):
+        if not math.isfinite(2 * horizon):
             raise ConfigError(
                 f"{self.periods} periods of {self.period} s, plus up to "
                 f"{MAX_DRAIN_PERIODS} drain periods, overflow the clock")

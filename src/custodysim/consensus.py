@@ -7,7 +7,8 @@ it accepts the pre-prepare; the replica keeps it as ``locked_digest``,
 and votes are then matched against it by digest, with no rehashing. A
 validator commits once it has seen 2f+1 commit votes, where
 f = floor((n-1)/3). Liveness under a faulty proposer comes from a
-timeout-driven round change.
+timeout-driven round change; round r's timer is ``round_timeout * 2**r``,
+so some round of a height outlasts any finite round trip.
 
 The message sizes are constants: a pre-prepare costs
 ``PREPREPARE_OVERHEAD`` plus its block, a vote ``PREPARE_SIZE`` or
@@ -21,6 +22,7 @@ a vote delivery made three such reads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -285,7 +287,7 @@ class Validator:
 
     def _arm_timer(self) -> None:
         height, round_ = self.height, self.round
-        self._set_timer(self.round_timeout,
+        self._set_timer(math.ldexp(self.round_timeout, round_),
                         lambda: self._on_round_timeout(height, round_))
 
     def _on_round_timeout(self, height: int, round_: int) -> None:

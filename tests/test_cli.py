@@ -112,6 +112,10 @@ class TestSimRun:
         (["--periods", "1" + "0" * 400],
          f"1{'0' * 400} periods of 300.0 s, plus up to 1000 drain periods, "
          "overflow the clock"),
+        # finite, but a doubled round timer could pass the float range
+        (["--period", "1e305", "--periods", "700"],
+         "700 periods of 1e+305 s, plus up to 1000 drain periods, "
+         "overflow the clock"),
     ])
     def test_run_past_the_float_clock_exits_2(self, argv, message, capsys):
         """A run whose timers or period boundaries overflow to inf would
@@ -120,6 +124,41 @@ class TestSimRun:
         code, out, err = _run(capsys, "sim", "run", *argv)
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
+
+    def test_doubled_round_timers_near_the_float_clock_stay_finite(self,
+                                                                    capsys):
+        # the silent proposer's round 0 times out near the end of the clock
+        code, _, err = _run(capsys, "sim", "run", "--period", "5e304",
+                            "--periods", "700", "--round-timeout", "8e307",
+                            "--byzantine", "1:silent", "--workload", "rate:1",
+                            "--out", os.devnull)
+        assert code == 0 and "periods elapsed: 1700" in err
+
+    @pytest.mark.parametrize("timeout", ["1e-9", "1e-300"])
+    def test_round_timeout_below_a_round_trip_still_commits(self, timeout):
+        """The round timer doubles with each round, so it outgrows a round
+        trip however small it starts; a fixed one ran out in every round,
+        for ever. A subprocess, so that such a run fails the test."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "custodysim.cli", "sim", "run", "--periods",
+             "3", "--round-timeout", timeout, "--out", os.devnull],
+            capture_output=True, text=True, env=_SRC_ENV, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert re.findall(r"height (\d+)", proc.stderr) == ["3"] * 4
+
+    def test_rounds_slower_than_the_timeout_reach_every_height(self, tmp_path,
+                                                              capsys):
+        """0.3 s links with 0.2 s jitter make a three-phase round outlast
+        the 1 s timer. With a fixed timer every replica halted at height 0
+        or 1; the doubling one lets a round finish at every height."""
+        config = tmp_path / "tight.cfg"
+        config.write_text("jitter = 0.2\nbase-delay = 0.3\n")
+        code, _, err = _run(capsys, "sim", "run", "--config", str(config),
+                            "--validators", "4", "--period", "5",
+                            "--round-timeout", "1", "--periods", "20",
+                            "--seed", "0", "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert re.findall(r"height (\d+)", err) == ["21"] * 4
 
     def test_empty_byzantine_flag_overrides_the_config_file(self, tmp_path,
                                                            capsys):
@@ -562,6 +601,48 @@ def test_only_the_ledger_commands_need_fcntl(tmp_path):
                           text=True, env=_SRC_ENV, timeout=60)
     assert "header_mib_per_year" in proc.stdout
     assert proc.returncode != 0 and "fcntl" in proc.stderr
+
+
+def test_only_the_knapsack_table_needs_numpy(tmp_path):
+    # as on a Python without numpy: the simulator and the store still run
+    blob = tmp_path / "e.bin"
+    blob.write_bytes(b"evidence")
+    store = str(tmp_path / "s")
+    # the first ledger command, in a process that has not loaded the
+    # store, still maps a StoreError to exit 1
+    script = ("import os, sys; sys.modules['numpy'] = None\n"
+              "from custodysim.cli import main\n"
+              "assert main(['sim', 'run', '--periods', '2', '--out', "
+              "os.devnull]) == 0\n"
+              f"assert main(['ledger', '--store', {store!r}, 'verify']) == 1\n"
+              f"assert main(['ledger', '--store', {store!r}, 'create', "
+              f"'--file', {str(blob)!r}, '--as', 'alice']) == 0\n"
+              f"assert main(['ledger', '--store', {store!r}, 'verify']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_SRC_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert f"error: StoreError: {store}/{LEDGER} is missing" in proc.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    script = ("import json, sys\n"
+              "def loaded(): return sorted(m for m in sys.modules\n"
+              "                            if m.startswith('custodysim.'))\n"
+              "from custodysim.cli import main\n"
+              "print(json.dumps([loaded(), 'numpy' in sys.modules]))\n"
+              "assert main(['analyze', 'ukp-check', '--samples', '10']) == 0\n"
+              "print(json.dumps(loaded()))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_SRC_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    at_import, numpy_loaded = json.loads(lines[0])
+    assert at_import == [f"custodysim.{name}" for name in (
+        "analytics", "blocks", "cli", "config", "consensus", "ledger")]
+    assert not numpy_loaded
+    assert not set(json.loads(lines[-1])) & {
+        "custodysim.store", "custodysim.simulation", "custodysim.netsim",
+        "custodysim.workload"}
 
 
 _DAMAGE = ("empty", "short", "cut", "flip", "append", "delete")
@@ -1010,9 +1091,10 @@ def _argv(draw, parser=None):
 
 
 def _runs_for_minutes(argv) -> bool:
-    """A sim run the simulator does not finish in seconds (CHANGES.md
-    FOUND): a round timeout far below the period restarts rounds without
-    end while no round completes."""
+    """A sim run too slow for a fuzz example: with a round timeout far
+    below the period, each height runs out rounds until the doubling timer
+    outgrows a round trip, about a thousand of them from 1e-300 s. Every
+    run this skips ends; it only keeps the fuzz test short."""
     if argv[0] != "sim":
         return False
     try:

@@ -235,6 +235,24 @@ class TestRoundChange:
         assert v.round == 1
         assert v.phase is Phase.AWAITING
 
+    def test_timer_doubles_with_each_round_of_a_height(self):
+        env = StubEnv()
+        v = env.make(2, timeout=1.5)
+        v.start_height(0.0)
+        for _ in range(3):
+            env.fire_last_timer()
+        # a round entered on its proposal waits as long as one timed into
+        block = Block(0, v.head_digest, 1, 0.0)
+        digest = block_digest(block)
+        v.handle(ConsensusMessage(MsgType.PRE_PREPARE, 0, 5, digest, 1, block))
+        assert [d for d, _ in env.timers] == [1.5, 3.0, 6.0, 12.0, 48.0]
+        for s in (0, 1, 3):
+            v.handle(_prepare(s, digest, round_=5))
+            v.handle(_commit_msg(s, digest, round_=5))
+        assert v.height == 1
+        v.start_height(1.0)
+        assert env.timers[-1][0] == 1.5
+
     def test_next_round_proposer_reproposes(self):
         env = StubEnv()
         v = env.make(1)  # proposer for (height 0, round 1)
