@@ -52,21 +52,16 @@ class Scheduler:
     ``action``. Events at equal times fire in the order they were
     scheduled. One event may deliver a message to many nodes (see
     ``Network.broadcast``); whatever those deliveries schedule gets a
-    later ``seq`` than the event itself.
-
-    ``feed`` takes entries that are known in advance. They get their
-    ``seq`` when fed, as ``schedule_at`` would give it, but wait outside
-    the heap until ``run_until`` reaches their time, so the heap the
-    other events pass through stays shallow. Their keys are the same, so
-    they fire in the same order as if each had been scheduled when fed.
+    later ``seq`` than the event itself. ``Simulation.run`` schedules
+    each period's transaction issues as that period opens, so the heap
+    holds one period's issues at a time, and an issue fires after any
+    event at its time that was scheduled before its period opened.
     """
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
         self._heap: list[tuple] = []
-        self._fed: list[tuple] = []  # not yet due, latest first
-        self._until = 0.0  # every fed entry is due after this
 
     def schedule_at(self, fire_time: float, action: Callable, *args) -> None:
         if fire_time < self.now:
@@ -77,31 +72,10 @@ class Scheduler:
     def schedule(self, delay: float, action: Callable, *args) -> None:
         self.schedule_at(self.now + delay, action, *args)
 
-    def feed(self, entries: Iterable[tuple]) -> None:
-        """Schedule ``(fire_time, action, args)`` entries in the order
-        given, each as ``schedule_at(fire_time, action, *args)`` would.
-        One in the past raises SchedulingInPast and none is scheduled."""
-        seq = self._seq
-        fed = [(fire_time, seq + i, action, args)
-               for i, (fire_time, action, args) in enumerate(entries)]
-        for fire_time, *_ in fed:
-            if fire_time < self.now:
-                raise SchedulingInPast(f"{fire_time} < now {self.now}")
-        self._seq = seq + len(fed)
-        self._fed = sorted(self._fed + fed, reverse=True)
-        self._release()
-
-    def _release(self) -> None:
-        fed, heap, until = self._fed, self._heap, self._until
-        while fed and fed[-1][0] <= until:
-            heappush(heap, fed.pop())
-
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
-        self._until = t
-        self._release()
         heap, pop = self._heap, heappop
         while heap and heap[0][0] <= t:
             self.now, _, action, args = pop(heap)
@@ -109,7 +83,7 @@ class Scheduler:
         self.now = t
 
     def pending(self) -> int:
-        return len(self._heap) + len(self._fed)
+        return len(self._heap)
 
 
 class Network:
@@ -155,7 +129,7 @@ class Network:
         """
         sender, recipients = key
         nodes = self._admits if sender == CLIENT else self._delivers
-        if sender not in nodes and sender >= 0:
+        if sender != CLIENT and sender not in nodes:
             raise UnknownNode(str(sender))
         ids = list(nodes) if recipients is None else list(recipients)
         for recipient in ids:

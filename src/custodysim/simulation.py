@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from . import blocks as blk
@@ -227,30 +228,36 @@ class Simulation:
 
     def run(self) -> SimResult:
         cfg = self.config
-        inject = self.network.inject
-        self.scheduler.feed((tx.issue_time, inject, (tx, tx.size))
-                            for tx in self.workload)
-
-        period = 0          # index of the period whose block is next due
-        boundary = cfg.period
+        txs, issued = self.workload, 0      # txs[:issued] are scheduled
+        issue_times = [tx.issue_time for tx in txs]
+        schedule_at, inject = self.scheduler.schedule_at, self.network.inject
         max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)
+        boundary, settling = cfg.period, False
         while True:
+            # Schedule the transactions issued by this boundary only now: the
+            # heap every other event passes through then holds one period's
+            # issues, not the whole run's, and its pushes and pops stay cheap.
+            end = bisect_right(issue_times, boundary)
+            for tx in txs[issued:end]:
+                schedule_at(tx.issue_time, inject, tx, tx.size)
+            issued = end
             self.scheduler.run_until(boundary)
+            if settling:
+                break
             self._depths.append(len(self.nodes[self.reference].mempool))
-            if period + 1 >= max_periods:
-                break
-            if period + 1 >= cfg.periods and self._depths[-1] == 0:
-                break
-            # start the next height on every idle validator; a validator
-            # still mid-consensus skips this boundary (round changes run on)
-            next_start = boundary - cfg.period  # block timestamp: period start
-            for v in self._validators:
-                if not v.active:
-                    v.start_height(next_start)
-            period += 1
+            periods = len(self._depths)
+            # after the last period, one more settles in-flight messages
+            settling = periods >= max_periods or (
+                periods >= cfg.periods and self._depths[-1] == 0)
+            if not settling:
+                # start the next height on every idle validator, its block
+                # stamped with the period start; a validator still
+                # mid-consensus skips this boundary (round changes run on)
+                next_start = boundary - cfg.period
+                for v in self._validators:
+                    if not v.active:
+                        v.start_height(next_start)
             boundary += cfg.period
-        # settle in-flight consensus messages
-        self.scheduler.run_until(boundary + cfg.period)
         return self._result()
 
     # metrics -----------------------------------------------------------

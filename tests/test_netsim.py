@@ -73,68 +73,6 @@ class TestScheduler:
         sched.run_until(100.0)
         assert sched.now == 100.0 and sched.pending() == 0
 
-    def test_fed_entry_in_the_past_is_rejected(self):
-        sched = Scheduler()
-        sched.run_until(1.0)
-        seen = []
-        with pytest.raises(SchedulingInPast):
-            sched.feed([(2.0, seen.append, ("a",)),
-                        (0.5, seen.append, ("b",))])
-        assert sched.pending() == 0
-        sched.feed([(1.0, seen.append, ("c",))])
-        sched.run_until(3.0)
-        assert seen == ["c"]
-
-
-# fire delays and run_until steps: multiples of 0.25, so entries often tie
-# with each other and land exactly on a step's end
-_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-# (fed, delay, the (fed, delay) entries its action places when it fires)
-_ENTRIES = st.lists(st.tuples(
-    st.booleans(), _DELAYS,
-    st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, 0.0, 0.25])),
-             max_size=3)), max_size=6)
-_STEPS = st.lists(st.tuples(_ENTRIES, st.sampled_from([0.0, 0.25, 0.5])),
-                  max_size=8)
-
-
-@given(steps=_STEPS)
-@example(steps=[([(True, 0.0, [(True, 0.0)]), (False, 0.0, [])], 0.0)])
-def test_fed_entries_fire_as_if_scheduled_when_fed(steps):
-    """A mix of fed and scheduled entries, some fed by actions while they
-    fire: the same firing log and the same pending() after each step as
-    scheduling every entry with schedule_at."""
-    def run(feeds):
-        sched = Scheduler()
-        log, pending = [], []
-
-        def place(entries, label):
-            batch = []
-            for i, (fed, delay, children) in enumerate(entries):
-                entry = (sched.now + delay, fire, ((label, i), children))
-                if fed and feeds:
-                    batch.append(entry)
-                    continue
-                if batch:
-                    sched.feed(batch)
-                    batch = []
-                sched.schedule_at(entry[0], entry[1], *entry[2])
-            if batch:
-                sched.feed(iter(batch))  # any iterable will do
-
-        def fire(label, children):
-            log.append((sched.now, label))
-            place([(fed, delay, []) for fed, delay in children], label)
-
-        for step, (entries, length) in enumerate(steps):
-            place(entries, step)
-            sched.run_until(sched.now + length)
-            pending.append(sched.pending())
-        sched.run_until(sched.now + 10.0)
-        return log, pending, sched.pending()
-
-    assert run(feeds=True) == run(feeds=False)
-
 
 class TestLinkModel:
     def test_delay_is_base_plus_serialization(self):
@@ -171,6 +109,12 @@ class TestNetwork:
         _, net, _ = _net()
         with pytest.raises(UnknownNode):
             net.broadcast(0, "x", 10, (99,))
+
+    def test_negative_sender_other_than_client_is_unknown(self):
+        sched, net, inboxes = _net(2)
+        with pytest.raises(UnknownNode):
+            net.broadcast(-2, "m", 10)
+        assert sched.pending() == 0 and inboxes == {0: [], 1: []}
 
     @pytest.mark.parametrize("jitter", [0.0, 0.005])
     def test_unknown_id_raises_before_anything_is_scheduled(self, jitter):

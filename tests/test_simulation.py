@@ -6,12 +6,13 @@ import pytest
 
 from custodysim import consensus, simulation
 from custodysim.analytics import consensus_latency
-from custodysim.blocks import Block, block_digest
+from custodysim.blocks import Block, Mempool, block_digest
 from custodysim.consensus import ConsensusMessage, MsgType, Validator
 from custodysim.config import parse_byzantine
 from custodysim.ledger import (Address, EvidenceId, LedgerState, TxKind,
                                create_tx, remove_tx, transfer_tx)
-from custodysim.netsim import LinkModel
+from custodysim.netsim import (LinkModel, Network, Scheduler,
+                               SchedulingInPast)
 from custodysim.simulation import (EQUIVOCATE, SILENT, ConfigError,
                                    ExperimentConfig, Simulation,
                                    run_experiment)
@@ -196,6 +197,68 @@ class TestOverload:
         result = run_experiment(cfg, [big])
         assert result.stuck_transactions == [1]
         assert 1 not in result.tx_records
+
+
+class TestIssuing:
+    """Each transaction is scheduled when the period it is issued in opens,
+    and is injected at its issue time."""
+
+    @staticmethod
+    def _transfer(uid, t):
+        return transfer_tx(uid, Address.from_int(1), EvidenceId.from_int(uid),
+                           Address.from_int(2), t)
+
+    def test_equal_issue_times_reach_mempool_and_chain_in_uid_order(
+            self, monkeypatch):
+        submitted = []
+        real_submit = Mempool.submit
+
+        def spy(pool, tx):
+            submitted.append((pool, tx.uid))
+            real_submit(pool, tx)
+
+        monkeypatch.setattr(Mempool, "submit", spy)
+        uids = [5, 2, 9, 1, 7]
+        wl = [self._transfer(u, 0.4 * T) for u in uids] + \
+            [self._transfer(u, T) for u in (8, 3)]
+        sim = Simulation(_cfg(periods=3), wl)
+        sim.run()
+        reference = sim.nodes[sim.reference].mempool
+        assert [u for pool, u in submitted if pool is reference] == \
+            sorted(uids) + [3, 8]
+        chain = sim.nodes[sim.reference].validator.chain
+        assert [tx.uid for b in chain for tx in b.transactions] == \
+            sorted(uids) + [3, 8]
+
+    def test_negative_issue_time_raises_before_any_event_fires(
+            self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(Scheduler, "run_until",
+                            lambda sched, t: runs.append(t))
+        wl = [self._transfer(1, 5.0), self._transfer(2, -1.0)]
+        with pytest.raises(SchedulingInPast):
+            run_experiment(_cfg(periods=3), wl)
+        assert runs == []
+
+    def test_issue_at_a_boundary_is_injected_up_to_that_boundary(
+            self, monkeypatch):
+        runs, injected = [], []
+        real_run_until, real_inject = Scheduler.run_until, Network.inject
+
+        def run_until(sched, t):
+            runs.append(t)
+            real_run_until(sched, t)
+
+        def inject(net, tx, size):
+            injected.append((tx.uid, net.scheduler.now, runs[-1]))
+            real_inject(net, tx, size)
+
+        monkeypatch.setattr(Scheduler, "run_until", run_until)
+        monkeypatch.setattr(Network, "inject", inject)
+        result = run_experiment(_cfg(periods=3), [self._transfer(1, T)])
+        assert runs[:2] == [T, 2 * T]
+        assert injected == [(1, T, T)]
+        assert 1 in result.tx_records
 
 
 def _depth_by_scan(sim, periods, committed_at):
