@@ -333,26 +333,6 @@ def plan_gas_limit(max_rate_bound: int, avg_rate_bound: int,
                         avg_rate_bound, "latency-tradeoff")
 
 
-@dataclass(frozen=True)
-class GasRateSummary:
-    series: tuple   # gas per period, indexed by period
-    peak: int
-    mean: float
-
-
-def gas_rate(transactions: Iterable, period: float) -> GasRateSummary:
-    """Per-period gas consumption of a timestamped transaction multiset."""
-    txs = list(transactions)
-    if not txs:
-        return GasRateSummary((), 0, 0.0)
-    last = max(int(tx.issue_time // period) for tx in txs)
-    series = [0] * (last + 1)
-    for tx in txs:
-        series[int(tx.issue_time // period)] += tx.gas
-    return GasRateSummary(tuple(series), max(series),
-                          sum(series) / len(series))
-
-
 # -- report rows -------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .ledger import Transaction
 
@@ -108,13 +108,6 @@ class Mempool:
     def __len__(self):
         return len(self._pending)
 
-    def stuck_head(self, gas_limit: int) -> Optional[Transaction]:
-        """Head transaction that can never fit in any block, if there is one."""
-        head = next(iter(self._pending.values()), None)
-        if head is not None and head.gas > gas_limit:
-            return head
-        return None
-
 
 def build_block(mempool: Mempool, gas_limit: int, height: int,
                 parent_digest: bytes, proposer: int,
@@ -123,7 +116,7 @@ def build_block(mempool: Mempool, gas_limit: int, height: int,
 
     Filling stops at the first transaction that does not fit under the
     gas limit: no reordering, no gap-filling. A head transaction whose
-    gas alone exceeds the limit blocks the queue (see Mempool.stuck_head).
+    gas alone exceeds the limit blocks the queue for good.
     """
     chosen = []
     gas = 0

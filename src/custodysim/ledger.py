@@ -100,9 +100,6 @@ class Address:
         return self.value.hex()
 
 
-ZERO_ADDRESS = Address(b"\x00" * 20)
-
-
 @dataclass(frozen=True, order=True)
 class EvidenceId:
     """32-byte evidence identifier; the all-zero id means "nonexistent"."""

@@ -1,10 +1,10 @@
 """End-to-end simulation: validators, mempools, workload and metrics.
 
-Wires the consensus state machines to the discrete-event network, drives
-one proposal per block period and collects per-period metrics (gas rate,
-inclusion latency, consensus latency, chain size). Only the reference
-replica applies each block to its ledger as it commits, for the receipts;
-every other replica's ledger applies its own chain when it is read.
+Wires the consensus state machines to the discrete-event network and
+drives one proposal per block period. When the run ends, the per-period
+metrics (gas rate, inclusion latency, consensus latency, chain size) and
+the receipts are read from the reference replica's chain; every
+replica's ledger applies its own chain when it is read.
 """
 from __future__ import annotations
 
@@ -49,21 +49,23 @@ class SimResult:
     chain_lengths: dict        # validator index -> committed block count
     honest: list               # honest validator indices
     tx_records: dict           # uid -> (issue_time, block_timestamp)
-    receipts: dict             # uid -> Receipt (from validator honest[0])
-    commit_latencies: list     # (height, seconds)
-    periods_elapsed: int
-    stuck_transactions: list   # uids flagged as never fitting a block
+    receipts: dict             # uid -> Receipt, at its first commit
+    commit_latencies: list     # (height, seconds) per reference block
+    stuck_transactions: list   # uids whose gas alone exceeds the gas limit
+
+    @property
+    def periods_elapsed(self) -> int:
+        return len(self.rows)
 
     @property
     def blocks_per_period(self) -> float:
-        n = min((self.chain_lengths[i] for i in self.honest), default=0)
-        return n / self.periods_elapsed if self.periods_elapsed else 0.0
+        return min(self.chain_lengths[i] for i in self.honest) / len(self.rows)
 
 
 class _Node:
     """One validator process: consensus, a mempool and a ledger replica.
-    The reference replica applies each block as it commits; any other
-    replica's ledger catches up with its own chain when ``ledger`` is read.
+    The ledger catches up with this replica's chain when ``ledger`` is
+    read; ``commit_times`` holds when each block of that chain committed.
 
     The send path is chosen at construction: an honest node broadcasts
     each message as it is, and only a faulty one runs its rule from
@@ -77,6 +79,8 @@ class _Node:
         self.mempool = Mempool()
         self._ledger = LedgerState()
         self._applied = 0   # blocks of validator.chain applied to _ledger
+        self.receipts: list = []         # one per applied tx, in chain order
+        self.commit_times: list[float] = []  # one per block of the chain
         cfg = sim.config
         self.validator = Validator(
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
@@ -98,31 +102,23 @@ class _Node:
             self._send(out, recipients)
 
     def _build(self, height: int, round_: int, period_start: float) -> Block:
-        stuck = self.mempool.stuck_head(self.sim.config.gas_limit)
-        if stuck is not None:
-            self.sim.note_stuck(stuck)
         return build_block(self.mempool, self.sim.config.gas_limit, height,
                            self.validator.head_digest, self.index,
                            period_start)
 
     def _committed(self, block: Block) -> None:
         self.mempool.remove_committed(tx.uid for tx in block.transactions)
-        if self.index == self.sim.reference:
-            self.sim.note_commit(block, self._apply_chain(),
-                                 self.sim.scheduler.now)
+        self.commit_times.append(self.sim.scheduler.now)
 
     @property
     def ledger(self) -> LedgerState:
-        """The state after every block this replica has committed."""
-        self._apply_chain()
-        return self._ledger
-
-    def _apply_chain(self) -> list:
-        """Apply the committed blocks not applied yet; one receipt per tx."""
+        """The state after every block this replica has committed; a read
+        applies the blocks since the last one and keeps their receipts."""
         blocks = self.validator.chain[self._applied:]
         self._applied += len(blocks)
-        return [self._ledger.apply(tx, block.timestamp)
-                for block in blocks for tx in block.transactions]
+        self.receipts.extend(self._ledger.apply(tx, block.timestamp)
+                             for block in blocks for tx in block.transactions)
+        return self._ledger
 
     # inbound -----------------------------------------------------------
 
@@ -172,8 +168,8 @@ class Simulation:
         self.genesis = blk.genesis_digest()
         behaviors = dict(config.byzantine)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
-        # the replica whose commits and receipts the metrics report
-        self.reference = self.honest[0] if self.honest else 0
+        # the replica whose chain the metrics report
+        self.reference = self.honest[0]
         self.nodes: dict[int, _Node] = {}
         self._validators: list[Validator] = []  # the ones run() starts
         for i in range(config.validators):
@@ -187,42 +183,19 @@ class Simulation:
                 self.network.add_node(i, node.validator.handle, admit)
                 self._validators.append(node.validator)
 
-        # height -> (highest proposed round, first broadcast of that round)
+        # height -> (highest round proposed before the reference replica
+        # committed that height, first broadcast of that round)
         self._proposal_times: dict[int, tuple[int, float]] = {}
-        self._tx_records: dict[int, tuple] = {}
-        self._receipts: dict[int, object] = {}
-        self._commit_latencies: list = []
-        # period a committed block was proposed for -> its size, its latency
-        self._size_by_period: dict[int, int] = {}
-        self._lc_by_period: dict[int, float] = {}
-        self._stuck: list = []
         self._depths: list[int] = []  # reference mempool at each boundary
 
     # hooks from nodes --------------------------------------------------
 
     def note_proposal(self, msg: ConsensusMessage) -> None:
+        if msg.height < self.nodes[self.reference].validator.height:
+            return
         seen = self._proposal_times.get(msg.height)
         if seen is None or msg.round > seen[0]:
             self._proposal_times[msg.height] = (msg.round, self.scheduler.now)
-
-    def note_commit(self, block: Block, receipts: list, now: float) -> None:
-        """The reference replica committed block; one receipt per tx."""
-        p = int(round(block.timestamp / self.config.period))
-        self._size_by_period[p] = block_size(block)
-        # measure from the most recent proposal for this height (the
-        # committing round's broadcast time)
-        proposed = self._proposal_times.get(block.height)
-        if proposed is not None:
-            latency = now - proposed[1]
-            self._commit_latencies.append((block.height, latency))
-            self._lc_by_period[p] = latency
-        for tx, receipt in zip(block.transactions, receipts):
-            self._tx_records.setdefault(tx.uid, (tx.issue_time, block.timestamp))
-            self._receipts.setdefault(tx.uid, receipt)
-
-    def note_stuck(self, tx: Transaction) -> None:
-        if tx.uid not in self._stuck:
-            self._stuck.append(tx.uid)
 
     # driving -----------------------------------------------------------
 
@@ -263,31 +236,44 @@ class Simulation:
     # metrics -----------------------------------------------------------
 
     def _result(self) -> SimResult:
-        cfg = self.config
-        T = cfg.period
+        T = self.config.period
         periods = len(self._depths)
         gas_by_period = [0] * periods
-        lb_by_period: list[list[float]] = [[] for _ in range(periods)]
         for tx in self.workload:
-            p = min(int(tx.issue_time // T), periods - 1)
-            gas_by_period[p] += tx.gas
-        for issue_time, block_ts in self._tx_records.values():
-            p = min(int(issue_time // T), periods - 1)
-            lb_by_period[p].append(
-                block_inclusion_latency(issue_time, block_ts, T))
+            gas_by_period[min(int(tx.issue_time // T), periods - 1)] += tx.gas
+
+        ref = self.nodes[self.reference]
+        ref.ledger   # applies the reference chain not applied yet
+        receipts = iter(ref.receipts)   # zip below takes one per tx
+        tx_records, receipt_of, latencies = {}, {}, []
+        lb_by_period: list[list[float]] = [[] for _ in range(periods)]
+        # period a committed block was proposed for -> its size, its latency
+        size_by_period, lc_by_period = {}, {}
+        for block, now in zip(ref.validator.chain, ref.commit_times):
+            p = int(round(block.timestamp / T))
+            latency = now - self._proposal_times[block.height][1]
+            latencies.append((block.height, latency))
+            size_by_period[p], lc_by_period[p] = block_size(block), latency
+            for tx, receipt in zip(block.transactions, receipts):
+                if tx.uid not in tx_records:
+                    tx_records[tx.uid] = (tx.issue_time, block.timestamp)
+                    receipt_of[tx.uid] = receipt
+                    q = min(int(tx.issue_time // T), periods - 1)
+                    lb_by_period[q].append(block_inclusion_latency(
+                        tx.issue_time, block.timestamp, T))
 
         rows = []
         chain_size = blk.GENESIS_SIZE
         for p in range(periods):
             lbs = lb_by_period[p]
-            size = self._size_by_period.get(p, 0)
+            size = size_by_period.get(p, 0)
             chain_size += size
             rows.append(MetricsRow(
                 period_index=p,
                 gas_rate=gas_by_period[p],
                 mean_lb=sum(lbs) / len(lbs) if lbs else math.nan,
                 max_lb=max(lbs) if lbs else math.nan,
-                mean_lc=self._lc_by_period.get(p, math.nan),
+                mean_lc=lc_by_period.get(p, math.nan),
                 committed_block_size=size,
                 chain_size_bytes=chain_size,
                 mempool_depth=self._depths[p]))
@@ -296,11 +282,12 @@ class Simulation:
                    for i in self.nodes}
         lengths = {i: len(self.nodes[i].validator.chain) for i in self.nodes}
         return SimResult(
-            config=cfg, rows=rows, chain_digests=digests,
+            config=self.config, rows=rows, chain_digests=digests,
             chain_lengths=lengths, honest=list(self.honest),
-            tx_records=dict(self._tx_records), receipts=dict(self._receipts),
-            commit_latencies=list(self._commit_latencies),
-            periods_elapsed=periods, stuck_transactions=list(self._stuck))
+            tx_records=tx_records, receipts=receipt_of,
+            commit_latencies=latencies,
+            stuck_transactions=[tx.uid for tx in self.workload
+                                if tx.gas > self.config.gas_limit])
 
 
 def run_experiment(config: ExperimentConfig, workload: list) -> SimResult:

@@ -7,19 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from custodysim import analytics
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
-                                  Catalog, ChainParams,
-                                  GasRateSummary, InvalidBounds,
+                                  Catalog, ChainParams, InvalidBounds,
                                   MIB, TxType, YEAR_SECONDS,
                                   annual_growth_table,
                                   annual_header_overhead_sweep,
                                   block_inclusion_latency, consensus_latency,
                                   create_type, dominance_check,
-                                  gas_rate, growth_rate, header_overhead,
+                                  growth_rate, header_overhead,
                                   latency_gas_bound,
                                   max_block_size_closed_form,
                                   max_block_size_ukp, plan_gas_limit,
                                   standard_catalog, ukp_max_value)
-from custodysim.ledger import Address, EvidenceId, transfer_tx
 from naive_knapsack import min_gas_dense, ukp_max_value_dense
 
 
@@ -404,23 +402,3 @@ class TestPlanGasLimit:
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(InvalidBounds, match="cannot be negative"):
             plan_gas_limit(*bounds)
-
-
-class TestGasRate:
-    def _transfers(self, times):
-        return [transfer_tx(i + 1, Address.from_int(1), EvidenceId.from_int(1),
-                            Address.from_int(2), t) for i, t in enumerate(times)]
-
-    def test_uniform_two_per_period(self):
-        txs = self._transfers([10, 20, 310, 320, 610, 620])
-        summary = gas_rate(txs, 300.0)
-        assert summary.series == (161004, 161004, 161004)
-        assert summary.peak == 161004
-
-    def test_ramp_is_non_decreasing(self):
-        times = [p * 300 + o for p in range(5) for o in range(0, (p + 1) * 10, 10)]
-        summary = gas_rate(self._transfers(times), 300.0)
-        assert list(summary.series) == sorted(summary.series)
-
-    def test_empty(self):
-        assert gas_rate([], 300.0) == GasRateSummary((), 0, 0.0)

@@ -62,8 +62,6 @@ def test_mempool_matches_list_model(ops, gas_limit):
             model = [t for t in model if t.uid not in op[1]]
         assert tuple(pool) == tuple(model)
         assert len(pool) == len(model)
-        head = model[0] if model and model[0].gas > gas_limit else None
-        assert pool.stuck_head(gas_limit) is head
         chosen, gas = [], 0
         for t in model:
             if gas + t.gas > gas_limit:
@@ -97,7 +95,6 @@ class TestBuildBlock:
         mempool.submit(_transfer(2))
         block = build_block(mempool, 170207, 0, genesis_digest(), 0, 0.0)
         assert block.transactions == ()  # strict FIFO: no gap filling
-        assert mempool.stuck_head(170207) is big
 
     def test_timestamp_is_period_start(self, mempool):
         block = build_block(mempool, 0, 5, genesis_digest(), 2, 1500.0)

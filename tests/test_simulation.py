@@ -136,6 +136,17 @@ class TestHonestRun:
         lcs = {lat for _, lat in result.commit_latencies}
         assert any(abs(l - 2.769e-3) < 1e-9 for l in lcs)
 
+    def test_gas_rate_is_the_gas_issued_in_each_period(self):
+        # two 80502-gas transfers per period; the drain issues nothing
+        result = _run(periods=6, tx_per_period=2)
+        assert [r.gas_rate for r in result.rows] == [161004] * 6 + [0]
+
+    def test_gas_rate_of_a_ramp_is_non_decreasing(self):
+        cfg = _cfg(periods=8)
+        wl = ramp_workload(RampSpec(0, 1_600_000, cfg.periods), 0, T)
+        rates = [r.gas_rate for r in run_experiment(cfg, wl).rows]
+        assert rates[:8] == sorted(rates[:8]) and rates[7] > rates[1]
+
     def test_chain_size_accumulates(self):
         result = _run(periods=6, tx_per_period=0)
         sizes = [r.chain_size_bytes for r in result.rows]
@@ -191,12 +202,18 @@ class TestOverload:
         assert set(result.tx_records) == {tx.uid for tx in wl}
 
     def test_oversized_transaction_flagged_stuck(self):
+        # every such transaction is stuck: the second one behind the
+        # first, and one issued in the last period, which no block follows
         cfg = _cfg(periods=3, gas_limit=100_000, drain=False)
-        big = create_tx(1, Address.from_int(1), EvidenceId.from_int(1),
-                        "x" * 1024, 10.0)  # 897367 gas can never fit
-        result = run_experiment(cfg, [big])
-        assert result.stuck_transactions == [1]
-        assert 1 not in result.tx_records
+        for times, stuck in [([10.0], [1]), ([10.0, 20.0], [1, 2]),
+                             ([2 * T + 10.0], [1])]:
+            bigs = [create_tx(uid, Address.from_int(1),
+                              EvidenceId.from_int(uid), "x" * 1024, t)
+                    for uid, t in enumerate(times, 1)]
+            assert bigs[0].gas == 897367   # can never fit
+            result = run_experiment(cfg, bigs)
+            assert result.stuck_transactions == stuck
+            assert result.tx_records == {}
 
 
 class TestIssuing:
@@ -282,57 +299,53 @@ class TestMempoolDepth:
     """mempool_depth is the reference replica's pending count at each
     boundary; an oracle that reads no mempool checks it."""
 
-    def _check(self, monkeypatch, cfg, wl):
+    def _check(self, cfg, wl):
         assert cfg.jitter == 0
-        committed_at = {}   # uid -> when the reference replica committed it
-        real_note_commit = Simulation.note_commit
-
-        def spy(sim, block, receipts, now):
-            for tx in block.transactions:
-                committed_at.setdefault(tx.uid, now)
-            real_note_commit(sim, block, receipts, now)
-
-        monkeypatch.setattr(Simulation, "note_commit", spy)
         sim = Simulation(cfg, wl)
         result = sim.run()
+        ref = sim.nodes[sim.reference]
+        committed_at = {}   # uid -> when the reference replica committed it
+        for block, now in zip(ref.validator.chain, ref.commit_times):
+            for tx in block.transactions:
+                committed_at.setdefault(tx.uid, now)
         depths = [r.mempool_depth for r in result.rows]
         assert depths == _depth_by_scan(sim, result.periods_elapsed,
                                         committed_at)
         return depths
 
-    def test_backlog_matches_scan(self, monkeypatch):
+    def test_backlog_matches_scan(self):
         cfg = _cfg(periods=30)
         wl = constant_rate_workload(RateSpec(12, 30), seed=2, period=T)
-        depths = self._check(monkeypatch, cfg, wl)
+        depths = self._check(cfg, wl)
         assert max(depths) > 20
 
-    def test_round_change_matches_scan(self, monkeypatch):
+    def test_round_change_matches_scan(self):
         # a silent proposer with a short timeout: the next proposer builds
         # mid-period, so its block also takes some of that period's txs
         cfg = _cfg(periods=20, byzantine=((1, SILENT),),
                    round_timeout=0.5 * T)
         wl = constant_rate_workload(RateSpec(4, 20), seed=8, period=T)
-        depths = self._check(monkeypatch, cfg, wl)
+        depths = self._check(cfg, wl)
         assert min(depths[:-1]) < 4
 
-    def test_equivocation_matches_scan(self, monkeypatch):
+    def test_equivocation_matches_scan(self):
         cfg = _cfg(periods=20, byzantine=((1, EQUIVOCATE),))
         wl = constant_rate_workload(RateSpec(3, 20), seed=11, period=T)
-        depths = self._check(monkeypatch, cfg, wl)
+        depths = self._check(cfg, wl)
         assert max(depths) > 3
 
-    def test_constant_rate_leaves_one_period_pending(self, monkeypatch):
+    def test_constant_rate_leaves_one_period_pending(self):
         # the block started at a boundary holds the transactions of the
         # period that boundary closes and commits after it, so each
         # boundary sees one period's transactions pending
         cfg = _cfg(periods=8)
         wl = constant_rate_workload(RateSpec(3, 8), seed=0, period=T)
-        assert self._check(monkeypatch, cfg, wl) == [3] * 8 + [0]
+        assert self._check(cfg, wl) == [3] * 8 + [0]
 
-    def test_drained_ramp_matches_scan(self, monkeypatch):
+    def test_drained_ramp_matches_scan(self):
         cfg = _cfg(periods=12)
         wl = ramp_workload(RampSpec(0, 1_600_000, cfg.periods), 0, T)
-        depths = self._check(monkeypatch, cfg, wl)
+        depths = self._check(cfg, wl)
         assert len(depths) > cfg.periods and depths[-1] == 0
 
     def test_strict_admission_leaves_every_mempool_empty(self):
@@ -496,6 +509,10 @@ class TestHonestSendPath:
 
 
 class TestCommitLatency:
+    """A block's consensus latency runs from the first broadcast of the
+    highest round proposed at its height to the reference replica's
+    commit of it."""
+
     def test_measured_from_first_proposal_of_highest_round(self):
         sim = Simulation(_cfg(), [])
         block = Block(0, sim.genesis, proposer=2, timestamp=0.0)
@@ -511,8 +528,22 @@ class TestCommitLatency:
         propose_at(6.0, 70)   # a re-broadcast keeps the first time
         propose_at(6.5, 3)    # a lower round is not the committing one
         sim.scheduler.run_until(7.5)
-        sim.note_commit(block, [], sim.scheduler.now)
-        assert sim._commit_latencies == [(0, 2.5)]
+        reference = sim.nodes[sim.reference].validator
+        reference.locked_block = block
+        reference.locked_digest = block_digest(block)
+        reference._commit()
+        propose_at(8.0, 71)   # a lagging replica's round after the commit
+        assert sim._result().commit_latencies == [(0, 2.5)]
+
+    def test_latencies_stay_positive_when_replicas_lag(self):
+        # jitter splits the replicas: some time out on a height the
+        # reference replica has committed and propose it in later rounds
+        cfg = _cfg(period=5.0, periods=20, jitter=0.2, base_delay=0.3,
+                   round_timeout=1.0)
+        wl = constant_rate_workload(RateSpec(2, cfg.periods), 0, cfg.period)
+        result = run_experiment(cfg, wl)
+        assert len(result.commit_latencies) == 21
+        assert min(lat for _, lat in result.commit_latencies) > 0
 
 
 def _lifecycle(periods, per_period, seed):
@@ -539,7 +570,7 @@ def _lifecycle(periods, per_period, seed):
 
 
 class _EagerNode(simulation._Node):
-    """The eager reference: every replica applies each block to its own
+    """The eager oracle: every replica applies each block to its own
     ledger as it commits it."""
 
     def __init__(self, *args):
@@ -551,11 +582,9 @@ class _EagerNode(simulation._Node):
         return self.eager
 
     def _committed(self, block):
-        receipts = [self.eager.apply(tx, block.timestamp)
-                    for tx in block.transactions]
-        self.mempool.remove_committed(tx.uid for tx in block.transactions)
-        if self.index == self.sim.reference:
-            self.sim.note_commit(block, receipts, self.sim.scheduler.now)
+        self.receipts.extend(self.eager.apply(tx, block.timestamp)
+                             for tx in block.transactions)
+        super()._committed(block)
 
 
 def _ledgers(sim):
@@ -565,9 +594,10 @@ def _ledgers(sim):
 
 
 class TestLazyLedger:
-    """The reference replica applies each block once, at its commit; every
-    other replica's ledger applies its chain when read, and reads exactly
-    what eager application would give."""
+    """Every replica's ledger, the reference replica's included, applies
+    its own chain when it is read, and reads exactly what eager
+    application would give. The run reads the reference ledger once, when
+    it ends, so each committed transaction is applied once per run."""
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize("fault", [SILENT, EQUIVOCATE])
