@@ -104,7 +104,9 @@ class Validator:
 
     The environment supplies broadcasting, timers, block construction and
     a commit hook; the state machine itself is driven purely by
-    start_height(), handle() and timer callbacks.
+    start_height(), handle() and timer callbacks. A timer acts only in the
+    height and round it was set in, so each ``set_timer`` call makes the
+    earlier timers no-ops, and the environment may drop them unfired.
     """
 
     def __init__(self, index: int, n: int, gas_limit: int,

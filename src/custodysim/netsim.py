@@ -4,7 +4,8 @@ Time is purely simulated. Given the same configuration and seed, every
 run fires the same sequence of events at the same times. ``Scheduler``
 orders the events, and ``Network`` turns each broadcast into deliveries.
 A delivery calls one callback of its recipient with the message, so no
-closure is built per delivery.
+closure is built per delivery. Besides messages in flight, the heap holds
+the open period's transaction issues and the round timers due in it.
 """
 from __future__ import annotations
 
@@ -54,8 +55,11 @@ class Scheduler:
     ``Network.broadcast``); whatever those deliveries schedule gets a
     later ``seq`` than the event itself. ``Simulation.run`` schedules
     each period's transaction issues as that period opens, so the heap
-    holds one period's issues at a time, and an issue fires after any
-    event at its time that was scheduled before its period opened.
+    holds one period's issues and the timers due in it, and an issue
+    fires after any event at its time that was scheduled before its
+    period opened. ``reserve`` takes an entry's ``seq`` and ``push`` adds
+    the entry later; pushed before the clock passes its fire time, it
+    fires where ``schedule`` would have fired it.
     """
 
     def __init__(self):
@@ -71,6 +75,18 @@ class Scheduler:
 
     def schedule(self, delay: float, action: Callable, *args) -> None:
         self.schedule_at(self.now + delay, action, *args)
+
+    def reserve(self, delay: float, action: Callable, *args) -> tuple:
+        """The entry ``schedule`` would push, with its ``seq`` taken."""
+        fire_time = self.now + delay
+        if fire_time < self.now:
+            raise SchedulingInPast(f"{fire_time} < now {self.now}")
+        self._seq += 1
+        return (fire_time, self._seq - 1, action, args)
+
+    def push(self, entry: tuple) -> None:
+        """Put an entry from ``reserve`` on the heap."""
+        heappush(self._heap, entry)
 
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""

@@ -1,10 +1,12 @@
 """End-to-end simulation: validators, mempools, workload and metrics.
 
 Wires the consensus state machines to the discrete-event network and
-drives one proposal per block period. When the run ends, the per-period
-metrics (gas rate, inclusion latency, consensus latency, chain size) and
-the receipts are read from the reference replica's chain; every
-replica's ledger applies its own chain when it is read.
+drives one proposal per block period; besides messages in flight, the
+event heap holds the open period's issues and the round timers due in it.
+When the run ends, the per-period metrics (gas rate, inclusion latency,
+consensus latency, chain size) and the receipts are read from the
+reference replica's chain; every replica's ledger applies its own chain
+when it is read.
 """
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ class SimResult:
 class _Node:
     """One validator process: consensus, a mempool and a ledger replica.
     The ledger catches up with this replica's chain when ``ledger`` is
-    read; ``commit_times`` holds when each block of that chain committed.
+    read. A new round timer makes the earlier ones no-ops, so the node
+    holds only its latest, until it is due in the open period.
 
     The send path is chosen at construction: an honest node broadcasts
     each message as it is, and only a faulty one runs its rule from
@@ -80,13 +83,14 @@ class _Node:
         self._ledger = LedgerState()
         self._applied = 0   # blocks of validator.chain applied to _ledger
         self.receipts: list = []         # one per applied tx, in chain order
-        self.commit_times: list[float] = []  # one per block of the chain
+        self.commit_times: list[float] = []  # when each block committed
+        self.timer = None   # a reserved heap entry not pushed yet
         cfg = sim.config
         self.validator = Validator(
             index=index, n=cfg.validators, gas_limit=cfg.gas_limit,
             round_timeout=cfg.effective_round_timeout,
             broadcast=self._send if fault is None else self._send_faulty,
-            set_timer=sim.scheduler.schedule, build_block=self._build,
+            set_timer=self._set_timer, build_block=self._build,
             on_commit=self._committed, genesis=sim.genesis)
 
     # environment hooks -------------------------------------------------
@@ -96,6 +100,15 @@ class _Node:
             self.sim.note_proposal(msg)
         self.sim.network.broadcast(self.index, msg, wire_size(msg),
                                    recipients)
+
+    def _set_timer(self, delay: float, action) -> None:
+        self.timer = self.sim.scheduler.reserve(delay, action)
+        self.release_timer()
+
+    def release_timer(self) -> None:
+        if self.timer is not None and self.timer[0] <= self.sim.boundary:
+            self.sim.scheduler.push(self.timer)
+            self.timer = None
 
     def _send_faulty(self, msg: ConsensusMessage) -> None:
         for out, recipients in self.fault(self, msg):
@@ -187,6 +200,7 @@ class Simulation:
         # committed that height, first broadcast of that round)
         self._proposal_times: dict[int, tuple[int, float]] = {}
         self._depths: list[int] = []  # reference mempool at each boundary
+        self.boundary = math.inf  # end of the open period (none before run)
 
     # hooks from nodes --------------------------------------------------
 
@@ -207,13 +221,16 @@ class Simulation:
         max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)
         boundary, settling = cfg.period, False
         while True:
-            # Schedule the transactions issued by this boundary only now: the
-            # heap every other event passes through then holds one period's
-            # issues, not the whole run's, and its pushes and pops stay cheap.
+            # Schedule the issues and push the timers due by this boundary only
+            # now: the heap every other event passes through then holds one
+            # period's, not the whole run's, and its pushes and pops stay cheap.
+            self.boundary = boundary
             end = bisect_right(issue_times, boundary)
             for tx in txs[issued:end]:
                 schedule_at(tx.issue_time, inject, tx, tx.size)
             issued = end
+            for node in self.nodes.values():
+                node.release_timer()
             self.scheduler.run_until(boundary)
             if settling:
                 break

@@ -237,13 +237,23 @@ GOLDEN_RUNS = {
     "reject-invalid": (["--config", "{strict_config}", "--workload", "rate:3"],
                        "797096d4f20b4fff7648ed93f1baeefebed8e08420674be49111feb84e8242bf",
                        "4be85b5e8a140dbfdbbcdc8fbb9a90d268ccce3cd3d43666954e0281bc22280b"),
+    "silent-short-timeout": (["--config", "{config}", "--validators", "7",
+                              "--byzantine", "2:silent",
+                              "--round-timeout", "0.05"],
+                             "93d923497f85bb145f27dd051548dbe99c2f1b7ab6cf2481701b8f8c4effd1e5",
+                             "c0f0e3ed98ada2a5a3cfb00324979c214743b84bd5c5f03a83ffb7d9fac041de"),
+    "silent-long-timeout": (["--config", "{config}", "--validators", "4",
+                             "--byzantine", "1:silent",
+                             "--round-timeout", "450"],
+                            "b97ff2ee8e12ab947844995e056591c734cd9f4960514ac0ae2a3a3e5629e04c",
+                            "74c91185b4e7b8a20201566525e9878c1a0b6f4adeb724c17dd11bf1fb6343b8"),
 }
 GOLDEN_CONFIG = "seed = 11\nperiods = 30\nbase_delay = 0.05\njitter = 0.02\n"
 STRICT_CONFIG = "seed = 11\nperiods = 30\nreject_invalid_at_mempool = true\n"
 
 
 class TestGoldenOutput:
-    """`sim run` output pinned byte for byte for seven seeded scenarios.
+    """`sim run` output pinned byte for byte for nine seeded scenarios.
 
     The delay-jitter, equivocate-jitter and silent-wide scenarios set
     base_delay and jitter through a config file, so every client
@@ -253,9 +263,14 @@ class TestGoldenOutput:
     height it should propose goes through a round change under jitter.
     reject-invalid is the one run with strict admission: its transfers
     name evidence no ledger holds, so every mempool drops them and each
-    block is empty. A change to the engine that keeps its results must
-    keep these hashes. A change that declares a change of behaviour
-    records them again.
+    block is empty. The two timeout scenarios pin the round timers. At
+    0.05 s every timer is due in the period it is set in, and rounds
+    change mid-period; the honest replicas split and end at different
+    heights. At 450 s a silent proposer's timer is set at a boundary,
+    waits out the period that opens there and fires in the middle of the
+    one after it. A change to the engine that keeps its results must keep
+    these hashes. A change that declares a change of behaviour records
+    them again.
     """
 
     @pytest.mark.parametrize("scenario", sorted(GOLDEN_RUNS))

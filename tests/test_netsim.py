@@ -68,6 +68,23 @@ class TestScheduler:
             sched.schedule_at(0.5, seen.append, "late")
         assert sched.pending() == 0
 
+    def test_reserved_entry_keeps_its_place_when_pushed_later(self):
+        sched = Scheduler()
+        seen = []
+        entry = sched.reserve(1.0, seen.append, "a")
+        sched.schedule(1.0, seen.append, "b")
+        assert sched.pending() == 1
+        sched.push(entry)
+        sched.run_until(1.0)
+        assert seen == ["a", "b"]
+
+    def test_reserving_in_past_rejected(self):
+        sched = Scheduler()
+        sched.run_until(1.0)
+        with pytest.raises(SchedulingInPast):
+            sched.reserve(-0.5, lambda: None)
+        assert sched.pending() == 0
+
     def test_empty_queue_just_advances_clock(self):
         sched = Scheduler()
         sched.run_until(100.0)

@@ -508,6 +508,64 @@ class TestHonestSendPath:
                 repr(getattr(honest, field.name)), field.name
 
 
+class TestRoundTimers:
+    """Each replica holds only its latest round timer, and pushes it onto
+    the heap once the period it falls in opens."""
+
+    def test_replaced_timer_never_fires(self, monkeypatch):
+        calls = []
+        real = Validator._on_round_timeout
+
+        def spy(v, height, round_):
+            calls.append((v.index, height, round_))
+            real(v, height, round_)
+
+        monkeypatch.setattr(Validator, "_on_round_timeout", spy)
+        result = _run(periods=30)
+        # the default timeout is two periods, so every timer is replaced
+        # by the next height's before it falls due
+        assert set(result.chain_lengths.values()) == {30}
+        assert len(calls) <= 4
+
+    def test_held_timer_keeps_the_place_of_its_arm(self):
+        sim = Simulation(_cfg(), [])
+        node, sched, seen = sim.nodes[0], sim.scheduler, []
+        sim.boundary = 1.0
+        node._set_timer(1.0, lambda: seen.append("due at the boundary"))
+        assert node.timer is None and sched.pending() == 1
+        node._set_timer(2.0, lambda: seen.append("held"))
+        sched.schedule_at(2.0, seen.append, "scheduled after the arm")
+        assert node.timer is not None and sched.pending() == 2
+        sim.boundary = 2.0
+        node.release_timer()
+        node._set_timer(5.0, lambda: seen.append("replaced"))
+        node._set_timer(6.0, lambda: seen.append("latest"))
+        sim.boundary = 6.0
+        node.release_timer()
+        sched.run_until(6.0)
+        assert seen == ["due at the boundary", "held",
+                        "scheduled after the arm", "latest"]
+
+    @pytest.mark.parametrize("fault", [(), ((1, SILENT),),
+                                       ((1, EQUIVOCATE),)])
+    @pytest.mark.parametrize("timeout", [None, 0.05, 0.5 * T, 1.5 * T])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2 * T])
+    def test_matches_scheduling_every_timer(self, jitter, timeout, fault,
+                                            monkeypatch):
+        cfg = _cfg(periods=12, validators=5, base_delay=0.01, jitter=jitter,
+                   round_timeout=timeout, byzantine=fault, seed=1)
+        wl = constant_rate_workload(RateSpec(3, cfg.periods), 1, T)
+        result = run_experiment(cfg, wl)
+        with monkeypatch.context() as m:
+            m.setattr(simulation._Node, "_set_timer",
+                      lambda node, delay, action:
+                      node.sim.scheduler.schedule(delay, action))
+            expected = run_experiment(cfg, wl)
+        for field in dataclasses.fields(result):
+            assert repr(getattr(result, field.name)) == \
+                repr(getattr(expected, field.name)), field.name
+
+
 class TestCommitLatency:
     """A block's consensus latency runs from the first broadcast of the
     highest round proposed at its height to the reference replica's
