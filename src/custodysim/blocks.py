@@ -4,13 +4,28 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
-from .ledger import Transaction
+from .ledger import Transaction, TxKind
 
 HEADER_SIZE = 1909    # bytes of every block header
 GENESIS_SIZE = 4096   # bytes of the genesis block, counted in the chain size
+
+
+class _cached:
+    """A property computed on first read and kept in the instance
+    ``__dict__``, where it then shadows this descriptor. It is
+    ``functools.cached_property`` without the lock that it takes on every
+    first read before Python 3.12, which costs more than summing a block."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -24,7 +39,7 @@ class Block:
     # fault model) mint two distinct blocks from the same contents.
     salt: int = 0
 
-    @cached_property
+    @_cached
     def _digest(self) -> bytes:
         """SHA-256 over the block's canonical serialization.
 
@@ -33,38 +48,52 @@ class Block:
         description. Variable or optional fields carry a length prefix or
         a presence byte, so blocks that differ in any of these fields
         never serialize to the same bytes. ``issue_time`` is left out: no
-        ledger reads it. The block and its transactions are frozen, so
-        the result is kept in the instance ``__dict__``; that is not a
-        dataclass field, so equality, hashing and ``repr`` ignore it.
+        ledger reads it. The bytes are joined and hashed in one call. The
+        block and its transactions are frozen, so the result is kept in
+        the instance ``__dict__``, like ``_gas`` and ``_size``; that is
+        not a dataclass field, so equality, hashing and ``repr`` ignore
+        it.
         """
-        h = hashlib.sha256()
-        h.update(struct.pack(">Q", self.height))
-        h.update(self.parent_digest)
-        h.update(struct.pack(">Qd", self.proposer, self.timestamp))
-        h.update(struct.pack(">Q", self.salt))
+        parts = [_U64.pack(self.height), self.parent_digest,
+                 _HEAD.pack(self.proposer, self.timestamp, self.salt)]
         for tx in self.transactions:
-            h.update(struct.pack(">QQQ", tx.uid, tx.gas, tx.size))
-            h.update(tx.evidence_id.value)
-            h.update(tx.issuer.value)
-            kind = tx.kind.value.encode()
-            h.update(struct.pack(">B", len(kind)) + kind)
-            h.update(b"\x00" if tx.new_owner is None
-                     else b"\x01" + tx.new_owner.value)
-            if tx.description is None:
-                h.update(b"\x00")
-            else:
-                text = tx.description.encode("utf-8")
-                h.update(b"\x01" + struct.pack(">I", len(text)) + text)
-        return h.digest()
+            owner, desc = tx.new_owner, tx.description
+            if desc is not None:
+                data = desc.encode("utf-8")
+                desc = b"\x01" + _U32.pack(len(data)) + data
+            parts += (_TX.pack(tx.uid, tx.gas, tx.size), tx.evidence_id.value,
+                      tx.issuer.value, _KIND[tx.kind],
+                      b"\x00" if owner is None else b"\x01" + owner.value,
+                      b"\x00" if desc is None else desc)
+        return hashlib.sha256(b"".join(parts)).digest()
+
+    @_cached
+    def _gas(self) -> int:
+        return sum(tx.gas for tx in self.transactions)
+
+    @_cached
+    def _size(self) -> int:
+        return HEADER_SIZE + sum(tx.size for tx in self.transactions)
+
+
+# fixed-width fields of the canonical serialization, big-endian
+_U64, _U32 = struct.Struct(">Q"), struct.Struct(">I")
+_HEAD = struct.Struct(">QdQ")   # proposer, timestamp, salt
+_TX = struct.Struct(">QQQ")     # uid, gas, size
+# a transaction kind's length-prefixed name
+_KIND = {kind: bytes([len(kind.value)]) + kind.value.encode()
+         for kind in TxKind}
 
 
 def block_size(block: Block) -> int:
-    """Header plus the serialized size of every included transaction."""
-    return HEADER_SIZE + sum(tx.size for tx in block.transactions)
+    """Header plus the serialized size of every included transaction;
+    summed once per ``Block`` object."""
+    return block._size
 
 
 def block_gas(block: Block) -> int:
-    return sum(tx.gas for tx in block.transactions)
+    """Gas of every included transaction; summed once per ``Block``."""
+    return block._gas
 
 
 def block_digest(block: Block) -> bytes:

@@ -68,7 +68,7 @@ class Scheduler:
         self._heap: list[tuple] = []
 
     def schedule_at(self, fire_time: float, action: Callable, *args) -> None:
-        if fire_time < self.now:
+        if not fire_time >= self.now:   # a NaN time is rejected too
             raise SchedulingInPast(f"{fire_time} < now {self.now}")
         heappush(self._heap, (fire_time, self._seq, action, args))
         self._seq += 1
@@ -79,7 +79,7 @@ class Scheduler:
     def reserve(self, delay: float, action: Callable, *args) -> tuple:
         """The entry ``schedule`` would push, with its ``seq`` taken."""
         fire_time = self.now + delay
-        if fire_time < self.now:
+        if not fire_time >= self.now:
             raise SchedulingInPast(f"{fire_time} < now {self.now}")
         self._seq += 1
         return (fire_time, self._seq - 1, action, args)
@@ -90,7 +90,7 @@ class Scheduler:
 
     def run_until(self, t: float) -> None:
         """Fire every event due at or before t, then advance the clock to t."""
-        if t < self.now:
+        if not t >= self.now:
             raise SchedulingInPast(f"cannot run backwards to {t}")
         heap, pop = self._heap, heappop
         while heap and heap[0][0] <= t:

@@ -116,8 +116,7 @@ class _Node:
 
     def _build(self, height: int, round_: int, period_start: float) -> Block:
         return build_block(self.mempool, self.sim.config.gas_limit, height,
-                           self.validator.head_digest, self.index,
-                           period_start)
+                           self.validator.head_digest, self.index, period_start)
 
     def _committed(self, block: Block) -> None:
         self.mempool.remove_committed(tx.uid for tx in block.transactions)
@@ -181,8 +180,7 @@ class Simulation:
         self.genesis = blk.genesis_digest()
         behaviors = dict(config.byzantine)
         self.honest = [i for i in range(config.validators) if i not in behaviors]
-        # the replica whose chain the metrics report
-        self.reference = self.honest[0]
+        self.reference = self.honest[0]  # whose chain the metrics report
         self.nodes: dict[int, _Node] = {}
         self._validators: list[Validator] = []  # the ones run() starts
         for i in range(config.validators):
@@ -216,6 +214,10 @@ class Simulation:
     def run(self) -> SimResult:
         cfg = self.config
         txs, issued = self.workload, 0      # txs[:issued] are scheduled
+        for tx in txs:   # a time in the past, -inf too, fails when scheduled
+            if not tx.issue_time < math.inf:
+                raise ConfigError(f"transaction {tx.uid} is issued at "
+                                  f"{tx.issue_time}, not a finite time")
         issue_times = [tx.issue_time for tx in txs]
         schedule_at, inject = self.scheduler.schedule_at, self.network.inject
         max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)
@@ -253,58 +255,52 @@ class Simulation:
     # metrics -----------------------------------------------------------
 
     def _result(self) -> SimResult:
-        T = self.config.period
-        periods = len(self._depths)
-        gas_by_period = [0] * periods
+        cfg, T, last = self.config, self.config.period, len(self._depths) - 1
+        gas_by_period, stuck = [0] * len(self._depths), []
         for tx in self.workload:
-            gas_by_period[min(int(tx.issue_time // T), periods - 1)] += tx.gas
+            q = int(tx.issue_time // T)  # the last period takes later issues
+            gas_by_period[q if q < last else last] += tx.gas
+            if tx.gas > cfg.gas_limit:
+                stuck.append(tx.uid)
 
         ref = self.nodes[self.reference]
         ref.ledger   # applies the reference chain not applied yet
         receipts = iter(ref.receipts)   # zip below takes one per tx
         tx_records, receipt_of, latencies = {}, {}, []
-        lb_by_period: list[list[float]] = [[] for _ in range(periods)]
-        # period a committed block was proposed for -> its size, its latency
-        size_by_period, lc_by_period = {}, {}
+        lb_by_period: list[list[float]] = [[] for _ in gas_by_period]
+        size_by_period, lc_by_period = {}, {}  # by a block's proposal period
         for block, now in zip(ref.validator.chain, ref.commit_times):
-            p = int(round(block.timestamp / T))
+            p, t = int(round(block.timestamp / T)), block.timestamp
             latency = now - self._proposal_times[block.height][1]
             latencies.append((block.height, latency))
             size_by_period[p], lc_by_period[p] = block_size(block), latency
             for tx, receipt in zip(block.transactions, receipts):
                 if tx.uid not in tx_records:
-                    tx_records[tx.uid] = (tx.issue_time, block.timestamp)
+                    tx_records[tx.uid] = (tx.issue_time, t)
                     receipt_of[tx.uid] = receipt
-                    q = min(int(tx.issue_time // T), periods - 1)
-                    lb_by_period[q].append(block_inclusion_latency(
-                        tx.issue_time, block.timestamp, T))
+                    q = int(tx.issue_time // T)
+                    lb_by_period[q if q < last else last].append(
+                        block_inclusion_latency(tx.issue_time, t, T))
 
-        rows = []
-        chain_size = blk.GENESIS_SIZE
-        for p in range(periods):
-            lbs = lb_by_period[p]
+        rows, chain_size = [], blk.GENESIS_SIZE
+        for p, (gas, lbs) in enumerate(zip(gas_by_period, lb_by_period)):
             size = size_by_period.get(p, 0)
             chain_size += size
             rows.append(MetricsRow(
-                period_index=p,
-                gas_rate=gas_by_period[p],
+                period_index=p, gas_rate=gas,
                 mean_lb=sum(lbs) / len(lbs) if lbs else math.nan,
                 max_lb=max(lbs) if lbs else math.nan,
                 mean_lc=lc_by_period.get(p, math.nan),
-                committed_block_size=size,
-                chain_size_bytes=chain_size,
+                committed_block_size=size, chain_size_bytes=chain_size,
                 mempool_depth=self._depths[p]))
 
-        digests = {i: self.nodes[i].validator.head_digest.hex()
-                   for i in self.nodes}
-        lengths = {i: len(self.nodes[i].validator.chain) for i in self.nodes}
+        nodes = self.nodes.items()
         return SimResult(
-            config=self.config, rows=rows, chain_digests=digests,
-            chain_lengths=lengths, honest=list(self.honest),
+            config=cfg, rows=rows, honest=list(self.honest),
+            chain_digests={i: n.validator.head_digest.hex() for i, n in nodes},
+            chain_lengths={i: len(n.validator.chain) for i, n in nodes},
             tx_records=tx_records, receipts=receipt_of,
-            commit_latencies=latencies,
-            stuck_transactions=[tx.uid for tx in self.workload
-                                if tx.gas > self.config.gas_limit])
+            commit_latencies=latencies, stuck_transactions=stuck)
 
 
 def run_experiment(config: ExperimentConfig, workload: list) -> SimResult:

@@ -1,12 +1,15 @@
+import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from custodysim.blocks import (Block, Mempool, block_digest, block_gas,
-                               block_size, build_block, genesis_digest)
-from custodysim.ledger import (Address, EvidenceId, TxKind, create_tx,
-                               transfer_tx)
+from custodysim.blocks import (HEADER_SIZE, Block, Mempool, block_digest,
+                               block_gas, block_size, build_block,
+                               genesis_digest)
+from custodysim.ledger import (Address, EvidenceId, Transaction, TxKind,
+                               create_tx, remove_tx, transfer_tx)
 
 
 def _transfer(uid):
@@ -161,3 +164,95 @@ class TestDigest:
         assert block_digest(b) == block_digest(
             Block(1, genesis_digest(), 0, 5.0, (_transfer(1),), salt=1))
         assert block_digest(a) == digest
+
+
+def _streamed_digest(block: Block) -> bytes:
+    """The canonical serialization fed to SHA-256 one field at a time: an
+    oracle for ``block_digest``, which hashes it from one buffer."""
+    h = hashlib.sha256()
+    h.update(struct.pack(">Q", block.height))
+    h.update(block.parent_digest)
+    h.update(struct.pack(">Qd", block.proposer, block.timestamp))
+    h.update(struct.pack(">Q", block.salt))
+    for tx in block.transactions:
+        h.update(struct.pack(">QQQ", tx.uid, tx.gas, tx.size))
+        h.update(tx.evidence_id.value)
+        h.update(tx.issuer.value)
+        kind = tx.kind.value.encode()
+        h.update(struct.pack(">B", len(kind)) + kind)
+        h.update(b"\x00" if tx.new_owner is None
+                 else b"\x01" + tx.new_owner.value)
+        if tx.description is None:
+            h.update(b"\x00")
+        else:
+            text = tx.description.encode("utf-8")
+            h.update(b"\x01" + struct.pack(">I", len(text)) + text)
+    return h.digest()
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_DESCRIPTIONS = st.one_of(
+    st.none(), st.just(""), st.text(max_size=40),
+    st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=40),
+    st.characters().map(lambda c: c * 1024))
+_TXS = st.builds(
+    Transaction, uid=_U64, kind=st.sampled_from(TxKind),
+    issuer=st.binary(min_size=20, max_size=20).map(Address),
+    evidence_id=st.binary(min_size=32, max_size=32).map(EvidenceId),
+    issue_time=st.floats(allow_nan=False), gas=_U64, size=_U64,
+    description=_DESCRIPTIONS,
+    new_owner=st.none() | st.binary(min_size=20, max_size=20).map(Address))
+_BLOCKS = st.builds(
+    Block, height=_U64, parent_digest=st.binary(min_size=32, max_size=32),
+    proposer=st.integers(0, 64), timestamp=st.floats(allow_nan=False),
+    transactions=st.lists(_TXS, max_size=30).map(tuple),
+    salt=st.one_of(st.just(0), _U64))
+
+
+def _pinned_block() -> Block:
+    txs = (create_tx(1, Address.from_int(1), EvidenceId.from_int(11),
+                     "Bildbeweis: Tür 3 — ✓", 0.5),
+           transfer_tx(2, Address.from_int(1), EvidenceId.from_int(11),
+                       Address.from_int(2), 1.0),
+           create_tx(3, Address.from_int(2), EvidenceId.from_int(12), "", 1.5),
+           remove_tx(4, Address.from_int(2), EvidenceId.from_int(11), 2.0))
+    return Block(7, genesis_digest(), 3, 12.5, txs, salt=2)
+
+
+class TestDigestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(block=_BLOCKS)
+    def test_matches_streamed_serialization(self, block):
+        assert block_digest(block) == _streamed_digest(block)
+
+    def test_pinned_digests(self):
+        """Hex digests recorded before the digest was built from one
+        buffer; they move only if the canonical serialization does."""
+        assert block_digest(_pinned_block()).hex() == (
+            "922c34ddb5601146536f6bb609d8fc2b7e27b6fa00c6f286c0eec27bfcfd30f4")
+        assert block_digest(Block(0, genesis_digest(), 0, 0.0)).hex() == (
+            "efb753d54361e3d0aa58bee10d27d559ec0309ff74dfb452cb65ca9c3bf08690")
+
+
+class TestCachedGasAndSize:
+    @given(block=_BLOCKS)
+    def test_equal_the_sums(self, block):
+        assert block_gas(block) == sum(tx.gas for tx in block.transactions)
+        assert block_size(block) == HEADER_SIZE + sum(
+            tx.size for tx in block.transactions)
+
+    def test_replaced_copy_gets_its_own_values(self):
+        a = _pinned_block()
+        gas, size = block_gas(a), block_size(a)
+        b = replace(a, transactions=a.transactions[1:2])
+        assert (block_gas(b), block_size(b)) == (
+            a.transactions[1].gas, HEADER_SIZE + a.transactions[1].size)
+        assert (block_gas(a), block_size(a)) == (gas, size)
+        assert block_gas(replace(b, transactions=())) == 0
+
+    def test_cached_values_invisible_to_eq_hash_repr(self):
+        a, b = _pinned_block(), _pinned_block()
+        before = (hash(a), repr(a))
+        block_gas(a), block_size(a), block_digest(a)
+        assert set(vars(a)) - set(vars(b)) == {"_gas", "_size", "_digest"}
+        assert a == b and (hash(a), repr(a)) == before == (hash(b), repr(b))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,6 +85,31 @@ class TestScheduler:
         with pytest.raises(SchedulingInPast):
             sched.reserve(-0.5, lambda: None)
         assert sched.pending() == 0
+
+    def test_nan_fire_time_rejected(self):
+        # A NaN entry on the heap compares false with every time, so once
+        # at the top it would stall every later event.
+        sched = Scheduler()
+        seen = []
+        with pytest.raises(SchedulingInPast):
+            sched.schedule_at(math.nan, lambda: seen.append("nan"))
+        sched.schedule_at(1.0, lambda: seen.append("b"))
+        sched.run_until(5.0)
+        assert seen == ["b"] and sched.pending() == 0
+
+    def test_reserving_nan_delay_rejected(self):
+        sched = Scheduler()
+        with pytest.raises(SchedulingInPast):
+            sched.reserve(math.nan, lambda: None)
+        sched.schedule_at(1.0, lambda: None)
+        assert sched.reserve(1.0, lambda: None)[1] == 1  # no seq was taken
+
+    def test_running_until_nan_rejected(self):
+        sched = Scheduler()
+        sched.run_until(2.0)
+        with pytest.raises(SchedulingInPast):
+            sched.run_until(math.nan)
+        assert sched.now == 2.0
 
     def test_empty_queue_just_advances_clock(self):
         sched = Scheduler()

@@ -257,6 +257,21 @@ class TestIssuing:
             run_experiment(_cfg(periods=3), wl)
         assert runs == []
 
+    @pytest.mark.parametrize("time,error", [
+        (math.inf, ConfigError), (math.nan, ConfigError),
+        (-math.inf, SchedulingInPast)])
+    def test_non_finite_issue_time_raises_before_any_event_fires(
+            self, monkeypatch, time, error):
+        runs = []
+        monkeypatch.setattr(Scheduler, "run_until",
+                            lambda sched, t: runs.append(t))
+        wl = [self._transfer(1, 5.0), self._transfer(7, time)]
+        with pytest.raises(error) as raised:
+            run_experiment(_cfg(periods=3), wl)
+        assert runs == []
+        if error is ConfigError:
+            assert "transaction 7 " in str(raised.value)
+
     def test_issue_at_a_boundary_is_injected_up_to_that_boundary(
             self, monkeypatch):
         runs, injected = [], []
