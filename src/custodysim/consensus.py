@@ -29,11 +29,7 @@ from typing import Callable, Optional
 from .blocks import Block, block_digest, block_gas, block_size
 
 
-class ConsensusError(Exception):
-    pass
-
-
-class NotProposer(ConsensusError):
+class NotProposer(Exception):
     pass
 
 
@@ -127,7 +123,7 @@ class Validator:
         self._on_commit = on_commit
 
         self.chain: list[Block] = []
-        self.chain_digests: list[bytes] = [genesis]
+        self.head_digest = genesis   # digest of chain[-1], genesis if empty
         self.height = 0
         self.round = 0
         self.phase = AWAITING
@@ -141,10 +137,6 @@ class Validator:
         self._future: dict[tuple[int, int], list[ConsensusMessage]] = {}
 
     # -- driving --------------------------------------------------------
-
-    @property
-    def head_digest(self) -> bytes:
-        return self.chain_digests[-1]
 
     def is_proposer(self) -> bool:
         return select_proposer(self.height, self.round, self.n) == self.index
@@ -278,7 +270,7 @@ class Validator:
     def _commit(self) -> None:
         block = self.locked_block
         self.chain.append(block)
-        self.chain_digests.append(self.locked_digest)
+        self.head_digest = self.locked_digest
         self.height += 1
         self.active = False
         self.locked = False

@@ -214,10 +214,14 @@ class Simulation:
     def run(self) -> SimResult:
         cfg = self.config
         txs, issued = self.workload, 0      # txs[:issued] are scheduled
+        uids = set()   # results are keyed by uid
         for tx in txs:   # a time in the past, -inf too, fails when scheduled
             if not tx.issue_time < math.inf:
                 raise ConfigError(f"transaction {tx.uid} is issued at "
                                   f"{tx.issue_time}, not a finite time")
+            if tx.uid in uids:
+                raise ConfigError(f"uid {tx.uid} names two transactions")
+            uids.add(tx.uid)
         issue_times = [tx.issue_time for tx in txs]
         schedule_at, inject = self.scheduler.schedule_at, self.network.inject
         max_periods = cfg.periods + (MAX_DRAIN_PERIODS if cfg.drain else 0)

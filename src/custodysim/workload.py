@@ -43,22 +43,16 @@ def _uniform_times(rng: random.Random, period_index: int, period: float,
     return sorted(start + rng.random() * width for _ in range(count))
 
 
-def _random_address(rng: random.Random) -> Address:
-    return Address(rng.getrandbits(160).to_bytes(20, "big"))
-
-
-def _random_id(rng: random.Random) -> EvidenceId:
-    return EvidenceId(rng.getrandbits(256).to_bytes(32, "big"))
-
-
 def _transfer_workload(counts: list, seed: int, period: float) -> list:
     """Transfers, counts[p] of them at uniform times within period p."""
     rng = random.Random(seed)
+    # bound once: each read of a classmethod makes a new bound method
+    addr, eid, bits = Address.from_int, EvidenceId.from_int, rng.getrandbits
     txs = []
     for p, count in enumerate(counts):
         for t in _uniform_times(rng, p, period, count):
-            txs.append(transfer_tx(len(txs) + 1, _random_address(rng),
-                                   _random_id(rng), _random_address(rng), t))
+            txs.append(transfer_tx(len(txs) + 1, addr(bits(160)),
+                                   eid(bits(256)), addr(bits(160)), t))
     return txs
 
 

@@ -204,7 +204,7 @@ class TestVoting:
         assert len(env.commits) == 1
         assert v.height == 1
         assert v.round == 0
-        assert v.chain_digests[-1] == digest
+        assert v.head_digest == digest
 
     def test_stale_commit_for_done_height_ignored(self):
         env, v, digest = self._pre_prepared()

@@ -1,5 +1,6 @@
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from custodysim import ledger
 from custodysim.ledger import (Address, DescriptionTooLong, EvidenceNotFound,
                                EvidenceId, InvalidDescriptionLength,
-                               LedgerError, LedgerState, REVERT_ERRORS,
+                               LedgerError, LedgerState,
+                               MAX_DESCRIPTION_LEN, REVERT_ERRORS,
                                RevertReason, TxKind, ZERO_ID,
                                create_tx, remove_tx, transfer_tx, tx_gas,
                                tx_size)
@@ -172,6 +174,59 @@ class TestCostModel:
     def test_tx_construction_checks_length(self, addrs, ids):
         with pytest.raises(DescriptionTooLong):
             create_tx(1, addrs[0], ids[0], "x" * 1025, 0.0)
+
+    def test_create_cost_matches_the_closed_form_at_every_length(self):
+        for length in range(MAX_DESCRIPTION_LEN + 1):
+            assert ledger.create_gas(length) == 170207 + (
+                length * (897367 - 170207) + 512) // 1024
+            assert ledger.create_size(length) == 207 + (
+                length * (1233 - 207) + 512) // 1024
+
+
+class TestIds:
+    """Address and EvidenceId share one definition but stay two types."""
+
+    @pytest.mark.parametrize("cls,size,word", [
+        (Address, 20, "address"), (EvidenceId, 32, "evidence id")])
+    def test_width_is_checked_on_every_construction(self, cls, size, word):
+        for value in (b"", b"\x01" * (size - 1), b"\x01" * (size + 1)):
+            with pytest.raises(ValueError) as raised:
+                cls(value)
+            assert str(raised.value) == f"{word} must be exactly {size} bytes"
+        with pytest.raises(ValueError):
+            cls.from_hex("ab" * (size + 1))
+        assert cls.from_int(1).value == b"\x00" * (size - 1) + b"\x01"
+        assert cls.from_hex("ab" * size).hex == "ab" * size
+
+    def test_reprs_name_the_class_and_its_bytes(self):
+        assert repr(Address.from_int(1)) == \
+            "Address(value=b'" + "\\x00" * 19 + "\\x01')"
+        assert repr(EvidenceId.from_int(1)) == \
+            "EvidenceId(value=b'" + "\\x00" * 31 + "\\x01')"
+
+    def test_the_two_types_never_mix(self):
+        address, evidence_id = Address(b"\x01" * 20), EvidenceId(b"\x01" * 32)
+        assert address != evidence_id and evidence_id != address
+        assert Address.from_int(7) != EvidenceId.from_int(7)
+        with pytest.raises(TypeError):
+            address < evidence_id
+        with pytest.raises(TypeError):
+            evidence_id <= address
+
+    def test_order_hash_and_pickle_follow_the_bytes(self):
+        assert Address.from_int(1) < Address.from_int(2)
+        assert sorted([EvidenceId.from_int(3), EvidenceId.from_int(1)]) == \
+            [EvidenceId.from_int(1), EvidenceId.from_int(3)]
+        for value in (Address.from_int(5), EvidenceId.from_int(5)):
+            assert hash(value) == hash(type(value)(value.value))
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
+
+    def test_ids_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            Address.from_int(1).value = b"\x02" * 20
+        with pytest.raises(FrozenInstanceError):
+            EvidenceId.from_int(1).value = b"\x02" * 32
 
 
 class TestApplyTransaction:

@@ -272,6 +272,19 @@ class TestIssuing:
         if error is ConfigError:
             assert "transaction 7 " in str(raised.value)
 
+    def test_repeated_uid_raises_before_any_event_fires(self, monkeypatch):
+        """Receipts and tx_records are keyed by uid, so a second
+        transaction with a uid would be dropped while its gas counts."""
+        runs = []
+        monkeypatch.setattr(Scheduler, "run_until",
+                            lambda sched, t: runs.append(t))
+        issuer = Address.from_int(1)
+        wl = [create_tx(1, issuer, EvidenceId.from_int(5), "", 10.0),
+              create_tx(1, issuer, EvidenceId.from_int(6), "", 20.0)]
+        with pytest.raises(ConfigError, match="uid 1 "):
+            run_experiment(_cfg(periods=3), wl)
+        assert runs == []
+
     def test_issue_at_a_boundary_is_injected_up_to_that_boundary(
             self, monkeypatch):
         runs, injected = [], []
@@ -431,6 +444,17 @@ class TestByzantine:
         honest = {result.chain_digests[i] for i in result.honest}
         assert len(honest) == 1
         assert result.blocks_per_period >= 0.9
+
+    def test_head_digest_names_the_last_committed_block(self):
+        cfg = _cfg(periods=10, validators=7, base_delay=0.05, jitter=0.02,
+                   byzantine=((3, EQUIVOCATE),), seed=11)
+        sim = Simulation(cfg, constant_rate_workload(RateSpec(2, 10), 11, T))
+        sim.run()
+        for node in sim.nodes.values():
+            v = node.validator
+            assert v.head_digest == (block_digest(v.chain[-1]) if v.chain
+                                     else sim.genesis)
+        assert min(len(n.validator.chain) for n in sim.nodes.values()) > 0
 
     def test_honest_replicas_apply_same_receipts(self):
         cfg = _cfg(periods=12, byzantine=((0, SILENT),),
