@@ -47,19 +47,20 @@ class Block:
         uid, gas, size, evidence id, issuer, kind, new owner and
         description. Variable or optional fields carry a length prefix or
         a presence byte, so blocks that differ in any of these fields
-        never serialize to the same bytes. ``issue_time`` is left out: no
-        ledger reads it. The bytes are joined and hashed in one call. The
-        block and its transactions are frozen, so the result is kept in
-        the instance ``__dict__``, like ``_gas`` and ``_size``; that is
-        not a dataclass field, so equality, hashing and ``repr`` ignore
-        it.
+        never serialize to the same bytes. A description is UTF-8, with
+        any lone surrogate passed through as its own three bytes.
+        ``issue_time`` is left out: no ledger reads it. The bytes are
+        joined and hashed in one call. The block and its transactions are
+        frozen, so the result is kept in the instance ``__dict__``, like
+        ``_gas`` and ``_size``; that is not a dataclass field, so
+        equality, hashing and ``repr`` ignore it.
         """
         parts = [_U64.pack(self.height), self.parent_digest,
                  _HEAD.pack(self.proposer, self.timestamp, self.salt)]
         for tx in self.transactions:
             owner, desc = tx.new_owner, tx.description
             if desc is not None:
-                data = desc.encode("utf-8")
+                data = desc.encode("utf-8", "surrogatepass")
                 desc = b"\x01" + _U32.pack(len(data)) + data
             parts += (_TX.pack(tx.uid, tx.gas, tx.size), tx.evidence_id.value,
                       tx.issuer.value, _KIND[tx.kind],

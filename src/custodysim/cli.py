@@ -1,5 +1,8 @@
 """Command-line interface: experiments, analytics reports, custody ops.
 
+Each command imports only the modules it runs and builds only the
+argument parsers on its path.
+
 Exit codes: 0 on success, 1 on an operation error (ledger/store refusal,
 failed check), 2 on a configuration error.
 """
@@ -38,120 +41,53 @@ metrics CSV columns:
 """
 
 
+class _Lazy(argparse.ArgumentParser):
+    """A parser that calls build(self) to add its arguments and subcommands
+    the first time it parses or formats, so a command builds only the
+    parsers on its path."""
+
+    def __init__(self, build=None, **kwargs):
+        super().__init__(**kwargs)
+        self.build = build
+
+    def _built(self):
+        """ArgumentParser's methods, bound to this parser once it is built."""
+        build, self.build = self.build, None
+        if build is not None:
+            build(self)
+        return super()
+
+    def parse_known_args(self, args=None, namespace=None):
+        return self._built().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        return self._built().format_usage()
+
+    def format_help(self):
+        return self._built().format_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="custodysim",
         description="Deterministic custody-ledger blockchain simulator "
                     "and performance analytics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # sim -------------------------------------------------------------
-    sim = sub.add_parser("sim", help="run simulations")
-    sim_sub = sim.add_subparsers(dest="sim_command", required=True)
-
-    run_p = sim_sub.add_parser(
-        "run", help="run one experiment",
-        epilog=_METRICS_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_sim_flags(run_p)
-    run_p.set_defaults(func=cmd_sim_run)
-
-    sweep_p = sim_sub.add_parser(
-        "sweep", help="run one experiment per value of a swept parameter",
-        epilog=_METRICS_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_sim_flags(sweep_p)
-    sweep_p.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
-                         help="config-file key to sweep, one run per value "
-                              "on a process pool, e.g. gas-limit=161004,805020")
-    sweep_p.set_defaults(func=cmd_sim_sweep)
-
-    # analyze ---------------------------------------------------------
-    ana = sub.add_parser("analyze", help="closed-form performance reports")
-    ana_sub = ana.add_subparsers(dest="analyze_command", required=True)
-
-    t2 = ana_sub.add_parser(
-        "table2", help="annual growth for 10k/100k/1M yearly creations",
-        description="CSV columns: workload_n, content_mib, total_mib, "
-                    "overhead_pct (MiB units).")
-    t2.add_argument("--period", type=finite_float, default=ChainParams.period,
-                    help="block period in seconds (default %(default)s)")
-    t2.add_argument("--out", type=Path, help="write CSV here instead of stdout")
-    t2.set_defaults(func=cmd_analyze_table2)
-
-    f3 = ana_sub.add_parser(
-        "fig3", help="annual header overhead for a sweep of block periods",
-        description="CSV columns: period_minutes, header_bytes_per_year, "
-                    "header_mib_per_year.")
-    f3.add_argument("--minutes", default="1,2,5,10,15,30,60",
-                    help="comma-separated block periods in minutes")
-    f3.add_argument("--out", type=Path, help="write CSV here instead of stdout")
-    f3.set_defaults(func=cmd_analyze_fig3)
-
-    plan = ana_sub.add_parser(
-        "plan-gas-limit", help="choose a block gas limit from rate/latency bounds")
-    plan.add_argument("--max-gas-rate", type=int, required=True,
-                      help="peak per-period gas rate (lower bound)")
-    plan.add_argument("--avg-gas-rate", type=int, required=True,
-                      help="mean per-period gas rate")
-    group = plan.add_mutually_exclusive_group(required=True)
-    group.add_argument("--upper-bound", type=int,
-                       help="gas-limit upper bound, given directly")
-    group.add_argument("--max-consensus-latency", type=finite_float,
-                       help="derive the upper bound from this latency target (s)")
-    plan.add_argument("--bandwidth", type=finite_float,
-                      default=ChainParams.bandwidth,
-                      help="slowest-link bandwidth, bytes/s (default %(default)s)")
-    plan.set_defaults(func=cmd_analyze_plan)
-
-    ukp = ana_sub.add_parser(
-        "ukp-check", help="verify the closed-form max block size against "
-                          "the knapsack solver")
-    ukp.add_argument("--samples", type=int, default=1000)
-    ukp.add_argument("--max-gas", type=int, default=10_000_000)
-    ukp.add_argument("--seed", type=int, default=0)
-    ukp.set_defaults(func=cmd_analyze_ukp)
-
-    # ledger ----------------------------------------------------------
-    led = sub.add_parser("ledger", help="manual custody operations against "
-                                        "a local store")
-    led.add_argument("--store", type=Path, default=Path("custody-store"),
-                     help="store directory (default ./custody-store)")
-    led_sub = led.add_subparsers(dest="ledger_command", required=True)
-
-    c = led_sub.add_parser("create", help="register a new evidence file")
-    c.add_argument("--file", type=Path, required=True)
-    c.add_argument("--desc", default="")
-    c.add_argument("--as", dest="identity", required=True,
-                   help="acting identity (label, hashed to an address)")
-    c.set_defaults(func=cmd_ledger_create)
-
-    t = led_sub.add_parser("transfer", help="hand evidence to a new owner")
-    t.add_argument("id")
-    t.add_argument("--to", required=True)
-    t.add_argument("--as", dest="identity", required=True)
-    t.set_defaults(func=cmd_ledger_transfer)
-
-    s = led_sub.add_parser("show", help="print the custody history of an entry")
-    s.add_argument("id")
-    s.set_defaults(func=cmd_ledger_show)
-
-    a = led_sub.add_parser("acquire", help="fetch the blob (current owner only)")
-    a.add_argument("id")
-    a.add_argument("--as", dest="identity", required=True)
-    a.add_argument("--out", type=Path, help="write the blob here")
-    a.set_defaults(func=cmd_ledger_acquire)
-
-    d = led_sub.add_parser("discard", help="remove entry and blob (creator only)")
-    d.add_argument("id")
-    d.add_argument("--as", dest="identity", required=True)
-    d.set_defaults(func=cmd_ledger_discard)
-
-    v = led_sub.add_parser("verify", help="re-hash every blob and cross-check "
-                                          "store and ledger; exit 1 on a problem")
-    v.set_defaults(func=cmd_ledger_verify)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Lazy)
+    sub.add_parser("sim", help="run simulations", build=_sim_parsers)
+    sub.add_parser("analyze", help="closed-form performance reports",
+                   build=_analyze_parsers)
+    sub.add_parser("ledger", help="manual custody operations against "
+                                  "a local store", build=_ledger_parsers)
     return parser
+
+
+def _sim_parsers(sim: _Lazy) -> None:
+    sub = sim.add_subparsers(dest="sim_command", required=True, parser_class=_Lazy)
+    sub.add_parser("run", help="run one experiment",
+                   build=_add_sim_flags).set_defaults(func=cmd_sim_run)
+    sub.add_parser("sweep", help="run one experiment per value of a swept parameter",
+                   build=lambda p: _add_sim_flags(p, sweep=True),
+                   ).set_defaults(func=cmd_sim_sweep)
 
 
 # config keys that are also sim flags -> help; parse_value parses each
@@ -168,7 +104,8 @@ _SIM_FLAGS = {
 }
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+def _add_sim_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    p.epilog, p.formatter_class = _METRICS_HELP, argparse.RawDescriptionHelpFormatter
     p.add_argument("--config", type=Path, help="key = value config file")
     p.add_argument("--out", type=Path, help="metrics CSV path")
     for key, help_ in _SIM_FLAGS.items():
@@ -176,6 +113,97 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workload", default="rate:2",
                    help="'rate:N' transfers per period or 'ramp:START:END' "
                         "gas per period (default rate:2)")
+    if sweep:
+        p.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
+                       help="config-file key to sweep, one run per value "
+                            "on a process pool, e.g. gas-limit=161004,805020")
+
+
+def _analyze_parsers(ana: _Lazy) -> None:
+    sub = ana.add_subparsers(dest="analyze_command", required=True, parser_class=_Lazy)
+
+    def table2(p):
+        p.add_argument("--period", type=finite_float, default=ChainParams.period,
+                       help="block period in seconds (default %(default)s)")
+        p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
+    sub.add_parser("table2", help="annual growth for 10k/100k/1M yearly creations",
+                   description="CSV columns: workload_n, content_mib, total_mib, "
+                               "overhead_pct (MiB units).",
+                   build=table2).set_defaults(func=cmd_analyze_table2)
+
+    def fig3(p):
+        p.add_argument("--minutes", default="1,2,5,10,15,30,60",
+                       help="comma-separated block periods in minutes")
+        p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
+    sub.add_parser("fig3", help="annual header overhead for a sweep of block periods",
+                   description="CSV columns: period_minutes, header_bytes_per_year, "
+                               "header_mib_per_year.",
+                   build=fig3).set_defaults(func=cmd_analyze_fig3)
+
+    def plan(p):
+        p.add_argument("--max-gas-rate", type=int, required=True,
+                       help="peak per-period gas rate (lower bound)")
+        p.add_argument("--avg-gas-rate", type=int, required=True,
+                       help="mean per-period gas rate")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--upper-bound", type=int,
+                           help="gas-limit upper bound, given directly")
+        group.add_argument("--max-consensus-latency", type=finite_float,
+                           help="derive the upper bound from this latency target (s)")
+        p.add_argument("--bandwidth", type=finite_float, default=ChainParams.bandwidth,
+                       help="slowest-link bandwidth, bytes/s (default %(default)s)")
+    sub.add_parser("plan-gas-limit",
+                   help="choose a block gas limit from rate/latency bounds",
+                   build=plan).set_defaults(func=cmd_analyze_plan)
+
+    def ukp(p):
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--max-gas", type=int, default=10_000_000)
+        p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("ukp-check", help="verify the closed-form max block size against "
+                                     "the knapsack solver",
+                   build=ukp).set_defaults(func=cmd_analyze_ukp)
+
+
+def _ledger_parsers(led: _Lazy) -> None:
+    led.add_argument("--store", type=Path, default=Path("custody-store"),
+                     help="store directory (default ./custody-store)")
+    sub = led.add_subparsers(dest="ledger_command", required=True, parser_class=_Lazy)
+
+    def create(p):
+        p.add_argument("--file", type=Path, required=True)
+        p.add_argument("--desc", default="")
+        p.add_argument("--as", dest="identity", required=True,
+                       help="acting identity (label, hashed to an address)")
+    sub.add_parser("create", help="register a new evidence file",
+                   build=create).set_defaults(func=cmd_ledger_create)
+
+    def transfer(p):
+        p.add_argument("id")
+        p.add_argument("--to", required=True)
+        p.add_argument("--as", dest="identity", required=True)
+    sub.add_parser("transfer", help="hand evidence to a new owner",
+                   build=transfer).set_defaults(func=cmd_ledger_transfer)
+
+    sub.add_parser("show", help="print the custody history of an entry",
+                   build=lambda p: p.add_argument("id"),
+                   ).set_defaults(func=cmd_ledger_show)
+
+    def discard(p):
+        p.add_argument("id")
+        p.add_argument("--as", dest="identity", required=True)
+
+    def acquire(p):
+        discard(p)
+        p.add_argument("--out", type=Path, help="write the blob here")
+    sub.add_parser("acquire", help="fetch the blob (current owner only)",
+                   build=acquire).set_defaults(func=cmd_ledger_acquire)
+    sub.add_parser("discard", help="remove entry and blob (creator only)",
+                   build=discard).set_defaults(func=cmd_ledger_discard)
+
+    sub.add_parser("verify", help="re-hash every blob and cross-check "
+                                  "store and ledger; exit 1 on a problem",
+                   ).set_defaults(func=cmd_ledger_verify)
 
 
 # -- sim commands ------------------------------------------------------
@@ -253,6 +281,8 @@ def cmd_sim_sweep(args) -> int:
     texts = [v.strip() for v in values.split(",")]
     configs = [ExperimentConfig(**{**vars(base), key: parse_value(key, text)})
                for text in texts]
+    if len(set(configs)) < len(configs):
+        raise ConfigError(f"bad sweep spec {args.sweep!r}: a value is repeated")
     from . import simulation, workload  # noqa: F401  (forked workers inherit them)
     with futures.ProcessPoolExecutor(
             max_workers=min(len(configs), os.cpu_count() or 1)) as pool:
@@ -439,8 +469,7 @@ def cmd_ledger_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, AnalyticsError) as err:

@@ -185,7 +185,7 @@ def _streamed_digest(block: Block) -> bytes:
         if tx.description is None:
             h.update(b"\x00")
         else:
-            text = tx.description.encode("utf-8")
+            text = tx.description.encode("utf-8", "surrogatepass")
             h.update(b"\x01" + struct.pack(">I", len(text)) + text)
     return h.digest()
 
@@ -232,6 +232,17 @@ class TestDigestOracle:
             "922c34ddb5601146536f6bb609d8fc2b7e27b6fa00c6f286c0eec27bfcfd30f4")
         assert block_digest(Block(0, genesis_digest(), 0, 0.0)).hex() == (
             "efb753d54361e3d0aa58bee10d27d559ec0309ff74dfb452cb65ca9c3bf08690")
+
+    def test_description_with_a_lone_surrogate_has_a_digest(self):
+        # an undecodable argument reaches Python as lone surrogates; a
+        # surrogate pair stays apart from the character it would spell
+        def block(description):
+            tx = create_tx(1, Address.from_int(1), EvidenceId.from_int(11),
+                           description, 0.5)
+            return Block(1, genesis_digest(), 0, 1.0, (tx,))
+        digests = {block_digest(block(d)) for d in
+                   ("\ud800", "\udcff", "\ud83d\ude00", "\U0001f600", "")}
+        assert len(digests) == 5
 
 
 class TestCachedGasAndSize:

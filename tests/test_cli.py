@@ -354,6 +354,19 @@ class TestSimSweep:
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("values", ["1,1", "1,2,01"])
+    def test_repeated_sweep_value_exits_2_before_any_run(
+            self, values, tmp_path, monkeypatch, capsys):
+        # two runs of one config would write one metrics file twice
+        monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", None)
+        code, out, err = _run(capsys, "sim", "sweep", "--periods", "2",
+                              "--sweep", f"seed={values}",
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 2 and out == ""
+        assert err == (f"config error: bad sweep spec 'seed={values}': "
+                       "a value is repeated\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_prints_values_as_typed(self, capsys):
         code, out, _ = _run(capsys, "sim", "sweep", "--periods", "2",
                             "--sweep", "seed=-1,2")
@@ -555,8 +568,9 @@ class TestLedgerWorkflow:
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    return next(action.choices for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
+    parser.format_usage()   # a parser adds its arguments when first used
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
 
 
 def test_readme_commands_parse():
@@ -575,6 +589,109 @@ def test_readme_commands_parse():
     # and README documents every ledger command, so no alias hides
     ledger = _subcommands(_subcommands(_build_parser())["ledger"])
     assert documented - {None} == set(ledger)
+
+
+# SHA-256 of `custodysim COMMAND --help` stdout, for every command path
+HELP_SHA = {
+    "": "037c4aa3564e106474fb1cedaf3fb6c5792e613e6269b3639c26b409f9c9b27a",
+    "sim": "d52da6fb5a2bb930d37e5e5eb34e70cf992dd315a768215a59ca3a02b2e6c5bc",
+    "sim run": "7fddb33a9530845b046bfb1c673ed6b58e7b3b5994c16de62430bade1ca9d476",
+    "sim sweep": "554e3276dcd6802a8e4f7429c6ffd279bd23f15e72d172016abd87f44d7addb9",
+    "analyze": "f3dd0b38145903b5b91e009d14031471224207d4e0539e314c413caf159efe57",
+    "analyze table2": "de9a6613671b0b4006e0c6fb03ffee7ca8a1369f736b22b7b32109076d5fffea",
+    "analyze fig3": "c155c5063b1178aebbd59b07975671a23cf66d5b24e6a47bc8a7f4681a689be8",
+    "analyze plan-gas-limit": "d678ecd1a7cef221b166fa42c2f189c7404acff5d4ad50bfcd490109208d4bc3",
+    "analyze ukp-check": "6f9c02a8efb629e5bbd506fa703c179d707047b7ce8adad7ed54a5679d55e005",
+    "ledger": "bb485e66935030fd36f896b4b63a9a5ad0574fcb009e97eadd9fda4f58859ce5",
+    "ledger create": "978ed2d3c815294c6c6d855e9566c4a127a69cffc716d720f032afedf42e0d83",
+    "ledger transfer": "4345f76b3334be842252aacefcfb5b712ededd1b3331509165691a62dd665ee9",
+    "ledger show": "0f3477715397f94356abe91fe1bbc82ae7c5a1743f857a8cb1cf78bdaa6cbe9d",
+    "ledger acquire": "30d2966b4668c9e37ddb7e9569675fc080ff9299711aaaa34427840880986938",
+    "ledger discard": "fe4b47001c47c140c04d9b70a7756c1dc9e90aa698bfb10302a04c2398e242e6",
+    "ledger verify": "b161b0dcfe9182f26b43df37fd7892aa16a54e12b471e4b019738f549b9c2081",
+}
+# argv -> SHA-256 of stderr, for argv that argparse refuses with exit 2
+USAGE_ERROR_SHA = {
+    "": "f6c0b4b9db93efef9746bc84be564b1811b675993d9043afe81c970cbb06d9ee",
+    "bogus": "a0def9b3aabf734fe228a1f2ca635258a82119eecdc742c18449d224e41b8037",
+    "sim": "43d3082758296d8e328c5a2ddf5076cce436b5a0c1ecdbe579dda0d555021584",
+    "analyze": "7fa4ab7df851a19bc880b181109d63628d94092c165489ee3cd224cfb7f360c6",
+    "ledger": "ed2ba7ef1c481597e9050f87833eb5eb4be50d27c11b80764a39a9ac5f7f7514",
+    "sim bogus": "0d9848eb8c337404492f4929c28b921093623bdaa4554199ee05513bcc04d4f0",
+    "sim sweep --periods 2": "c113cc550e7a1422eb1a3682f26b6eb52c6cc5a9a070a5ba0c4c2ff64f2b7d8a",
+    "analyze ukp-check --bogus": "ceadb632f97dbf34f67f136ee91e269d8c3521ab80a720a02c51b4f0a041a8fa",
+    "analyze ukp-check --samples x": "f735e7755859e753c88c3029adc04dade3d0369f6b4b514d55278592219bfb38",
+    "analyze plan-gas-limit --max-gas-rate 1 --avg-gas-rate 1 --upper-bound 1 "
+    "--max-consensus-latency 1": "f713d6bb4d7fbc07436c85c2f61ffa99efedb980677ce9641ffb27ec9d7b7507",
+    "ledger --sto DIR show": "a203958602e1bbd9088915e167fcc7fa2f7eeb8a89033388baf3ba049f6e1ea5",
+    "ledger create --file f": "899eee619a86a4fa9b2424e73d165ddf8f237c9215bff1e0faec791614674f57",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the hashes pin argparse's layout on Python 3.11")
+class TestParserOutput:
+    """Help pages and usage errors pinned byte for byte at 80 columns, so
+    a change to how the parsers are built keeps what they print."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_every_command_path_is_pinned(self):
+        def paths(parser, prefix=""):
+            yield prefix
+            for name, sub in _subcommands(parser).items():
+                yield from paths(sub, f"{prefix} {name}".strip())
+        assert sorted(paths(_build_parser())) == sorted(HELP_SHA)
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA))
+    def test_help_unchanged(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(command.split() + ["--help"])
+        out, err = capsys.readouterr()
+        assert exited.value.code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA[command]
+
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERROR_SHA))
+    def test_usage_error_unchanged(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert exited.value.code == 2 and out == ""
+        assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERROR_SHA[argv]
+
+
+@pytest.mark.parametrize("argv,command,parsers,arguments", [
+    ("analyze ukp-check --samples 0 --max-gas 0", "analyze ukp-check", 8, 11),
+    ("ledger --store unused show not-an-id", "ledger show", 10, 12),
+])
+def test_a_command_builds_only_the_parsers_on_its_path(
+        argv, command, parsers, arguments, monkeypatch, capsys):
+    # every group parser exists, to be chosen from; only the chosen group
+    # lists its commands, and only the chosen command adds its flags
+    built, added = [], []
+    init, add_argument = (argparse.ArgumentParser.__init__,
+                          argparse.ArgumentParser.add_argument)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    def counted_add_argument(self, *args, **kwargs):
+        added.append((self.prog, args))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        counted_add_argument)
+    main(argv.split())
+    group = command.split()[0]
+    assert [prog for prog in built if len(prog.split()) > 2
+            and not prog.startswith(f"custodysim {group} ")] == []
+    assert {prog for prog, args in added if args != ("-h", "--help")} <= {
+        f"custodysim {group}", f"custodysim {command}"}
+    assert (len(built), len(added)) == (parsers, arguments)
 
 
 def test_readme_lists_the_store_files(tmp_path, capsys):
@@ -1087,6 +1204,7 @@ def _argv(draw, parser=None):
     """Words for parser: its options and positionals with drawn values,
     then one of its subcommands and that subcommand's words."""
     parser = parser or _build_parser()
+    parser.format_usage()   # a parser adds its arguments when first used
     words, commands = [], None
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
