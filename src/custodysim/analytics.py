@@ -3,9 +3,10 @@
 Covers block inclusion and consensus latency, maximum block size (both
 the knapsack oracle and its closed form), header overhead, chain growth
 rate, and the lower/upper-bound procedure for choosing the block gas
-limit. A `Catalog` of transaction types holds what block-size queries on
-it share: its dominant type and a knapsack table, filled once up to the
-window from which it repeats, that answers every gas limit.
+limit. A `Catalog` keeps transaction types as size and gas columns,
+makes a `TxType` only when one is read, and holds what block-size
+queries on it share: its dominant type and a knapsack table, filled once
+up to the window from which it repeats, that answers every gas limit.
 
 Only `Catalog`'s table code imports numpy, inside its functions, so that
 `simulation` and the CLI can import this module without loading numpy.
@@ -15,10 +16,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from . import ledger
 from .blocks import HEADER_SIZE
@@ -63,11 +65,13 @@ _UNREACHABLE = 2 ** 62   # min-gas of a byte total that no types sum to
 _BLOCK = 64              # widest block of table entries filled at once
 
 
-class Catalog(tuple):
-    """Immutable sequence of transaction types with what knapsack queries on
-    it share: the dominant type, a type b of the best size/gas ratio, the
-    largest size and the min-gas table that `min_gas` reads. Catalog(c) of
-    a Catalog is c.
+class Catalog(Sequence):
+    """Immutable sequence of transaction types, kept as integer columns
+    sizes and gas and a function that makes the type at index i when it
+    is read. Catalog(types) indexes the given types; Catalog(c) of a
+    Catalog is c. It holds what knapsack queries on it share, found in
+    integer arithmetic: the dominant type, the first type b of the best
+    size/gas ratio, the largest size and the min-gas table `min_gas` reads.
 
     The table is filled only from the types that can set an entry: once
     entry size_i is final, a type i with min_gas[size_i] < gas_i is
@@ -88,15 +92,34 @@ class Catalog(tuple):
     def __new__(cls, types: Iterable[TxType]):
         if isinstance(types, Catalog):
             return types
-        self = super().__new__(cls, types)
-        if not self:
+        types = tuple(types)
+        return cls._columns(tuple(t.size for t in types),
+                            tuple(t.gas for t in types), types.__getitem__)
+
+    @classmethod
+    def _columns(cls, sizes: tuple, gas: tuple, make) -> Catalog:
+        if not sizes:
             raise ValueError("catalog cannot be empty")
-        self.dominant = next((k for k in self if all(
-            j is k or math.ceil(j.size / k.size) * k.gas <= j.gas
-            for j in self)), None)
-        self.best = max(self, key=lambda t: t.size / t.gas)
-        self.max_size = max(t.size for t in self)
+        self = super().__new__(cls)
+        self.sizes, self.gas, self._make = sizes, gas, make
+        b, sb, gb = 0, sizes[0], gas[0]
+        for i, s, g in zip(range(len(sizes)), sizes, gas):
+            if s * gb > sb * g:
+                b, sb, gb = i, s, g
+        # a dominant type has the best ratio, so only b or a tie can be one
+        self.dominant = next((make(k) for k, sk, gk in zip(
+            range(b, len(sizes)), sizes[b:], gas[b:]) if sk * gb == sb * gk
+            and all(-(-s // sk) * gk <= g for s, g in zip(sizes, gas))), None)
+        self.best, self.max_size = make(b), max(sizes)
         return self
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._make, range(len(self.sizes))[i]))
+        return self._make(range(len(self.sizes))[i])
 
     @cached_property
     def _periodic(self) -> tuple:
@@ -110,8 +133,7 @@ class Catalog(tuple):
         """
         import numpy as np
         pad, b = self.max_size, self.best
-        sizes = np.array([t.size for t in self], dtype=np.int64)
-        gas = np.array([t.gas for t in self], dtype=np.int64)
+        sizes, gas = np.array((self.sizes, self.gas), dtype=np.int64)
         width = min(_BLOCK, int(sizes.min()))
         # entry v sits at index pad + v, after a pad for v - size < 0;
         # unfilled entries are _UNREACHABLE too, so every type not sized
@@ -151,7 +173,7 @@ class Catalog(tuple):
         import numpy as np
         b = self.best
         base = ((self._periodic[0] + b.size) // b.size + 1) * b.gas
-        end = int((base + b.gas - 1) * (b.size / b.gas)) + self.max_size + 1
+        end = (base + b.gas - 1) * b.size // b.gas + self.max_size + 1
         least = np.minimum.accumulate(self.min_gas(end)[::-1])[::-1]
         return base, least.tolist()
 
@@ -175,8 +197,11 @@ class Catalog(tuple):
 
 def standard_catalog() -> Catalog:
     """All transaction types: transfer, remove, create(0)..create(1024)."""
-    return Catalog((TRANSFER, REMOVE) + tuple(
-        create_type(l) for l in range(ledger.MAX_DESCRIPTION_LEN + 1)))
+    lengths = range(ledger.MAX_DESCRIPTION_LEN + 1)
+    return Catalog._columns(
+        (TRANSFER.size, REMOVE.size, *map(ledger.create_size, lengths)),
+        (TRANSFER.gas, REMOVE.gas, *map(ledger.create_gas, lengths)),
+        lambda i: (TRANSFER, REMOVE)[i] if i < 2 else create_type(i - 2))
 
 
 # -- latency -----------------------------------------------------------

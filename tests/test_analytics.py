@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from custodysim import analytics
+from custodysim import analytics, cli
 from custodysim.analytics import (REMOVE, TRANSFER, AnalyticsError,
                                   Catalog, ChainParams, InvalidBounds,
                                   MIB, TxType, YEAR_SECONDS,
@@ -296,6 +296,43 @@ class TestCatalogTable:
             catalog.min_gas(10)[0] = 1
 
 
+class TestStandardCatalogColumns:
+    """The standard catalog keeps sizes and gas as columns and makes a
+    create type only when its index is read, yet reads as the sequence
+    of all 1,027 types."""
+
+    def test_sequence_contract(self, catalog):
+        types = [TRANSFER, REMOVE, *map(create_type, range(1025))]
+        assert len(catalog) == 1027 and list(catalog) == types
+        assert catalog.sizes == tuple(t.size for t in types)
+        assert catalog.gas == tuple(t.gas for t in types)
+        assert catalog[0] is TRANSFER and catalog[1] is REMOVE
+        assert catalog[-1] == create_type(1024)
+        assert catalog[1:4] == tuple(types[1:4])
+        assert catalog[::-300] == tuple(types[::-300])
+        for i in (1027, -1028):
+            with pytest.raises(IndexError):
+                catalog[i]
+        assert Catalog(catalog) is catalog
+        vmax = 3 * catalog.max_size
+        assert np.array_equal(Catalog(list(catalog)).min_gas(vmax),
+                              catalog.min_gas(vmax))
+
+    def test_ukp_check_makes_no_type(self, monkeypatch, capsys):
+        made = []
+        post_init = TxType.__post_init__
+
+        def counted(self):
+            made.append(self.name)
+            post_init(self)
+        monkeypatch.setattr(TxType, "__post_init__", counted)
+        standard_catalog()
+        assert made == []
+        assert cli.main(["analyze", "ukp-check", "--samples", "10"]) == 0
+        assert made == []
+        assert standard_catalog()[7].name == "create(5)" and made == ["create(5)"]
+
+
 class TestDominance:
     def test_transfer_dominates_full_catalog(self, catalog):
         # latency_gas_bound counts transfers alone on this assumption
@@ -313,6 +350,20 @@ class TestDominance:
         # confirmed by the solver on small capacities
         for cap in range(0, 200, 7):
             assert ukp_max_value(cap, cat) == (cap // 10) * 1000
+
+    def test_exact_past_two_to_the_53(self):
+        """As floats, ceil((2**53 + 1) / 1) copies of k fit j's 2**53 gas,
+        so k read as dominant and the closed form lost j's extra byte."""
+        k, j = TxType("k", 1, 1), TxType("j", 2 ** 53 + 1, 2 ** 53)
+        assert dominance_check((k, j)) is None
+        with pytest.raises(AnalyticsError):
+            max_block_size_closed_form(2 ** 53, (k, j))
+
+    def test_best_ratio_is_exact_and_the_first_on_ties(self):
+        # 2**60 / (2**60 - 1) is 1.0 as a float, a tie with b
+        b, a = TxType("b", 1, 1), TxType("a", 2 ** 60, 2 ** 60 - 1)
+        assert Catalog((b, a)).best is a
+        assert Catalog((b, TxType("b2", 2, 2))).best is b
 
     def test_no_dominator(self):
         # small-and-cheap vs huge-and-efficient: neither wins everywhere

@@ -76,4 +76,6 @@ def test_every_workload_runs_once_with_no_failed_operation(
         bench.setup()
         rep = bench.run()
         assert rep.attempted > 0 and rep.failed == 0, name
+        if name == "ukp":   # op_p50_ms: one sample per max_block_size_ukp call
+            assert len(rep.samples) == rep.attempted
         assert bench.finish()[1] == 0, name
